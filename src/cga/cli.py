@@ -98,10 +98,6 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _load_graph(path):
-    return read_edge_list(path)
-
-
 def _spec_from_args(args, g) -> ClusterSpec:
     mode = args.mode
     if mode is None:
@@ -110,7 +106,7 @@ def _spec_from_args(args, g) -> ClusterSpec:
 
 
 def cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_edge_list(args.graph)
     spec = _spec_from_args(args, g)
     M = _parse_set(args.set, g.params)
     _echo_config(
@@ -155,7 +151,7 @@ def _print_cluster_list(result, out) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_edge_list(args.graph)
     spec = _spec_from_args(args, g)
     _echo_config(
         sys.stdout,
@@ -174,7 +170,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_edge_list(args.graph)
     spec = _spec_from_args(args, g)
     budget = args.budget if args.budget is not None else _work_budget()
     _echo_config(
@@ -267,8 +263,10 @@ def parse_config_text(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
-        key, val = line.split("=", 1)
-        values[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise ValueError(f"config line {lineno}: duplicate key {key!r}")
+        values[key] = val
     return values
 
 
@@ -301,6 +299,9 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    missing = {"b", "c", "h_from", "h_to"} - set(raw)
+    if missing:
+        raise ValueError(f"missing config keys: {sorted(missing)}")
     kwargs = {}
     for key, value in raw.items():
         conv = _CONFIG_KEYS[key]
@@ -309,7 +310,10 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         elif key == "measures":
             kwargs[key] = frozenset(tok.strip() for tok in value.split(",") if tok.strip())
         elif key in ("alpha", "beta"):
-            kwargs[key] = Fraction(value)
+            try:
+                kwargs[key] = Fraction(value)
+            except ZeroDivisionError as exc:
+                raise ValueError(f"{key} = {value!r} has a zero denominator") from exc
         elif key in ("directed", "allow_large"):
             kwargs[key] = bool(int(value))
         else:

@@ -39,7 +39,7 @@ from .clusters import (
 )
 from .generator import Graph, format_real, sample_graph
 from .oracle import DEFAULT_WORK_BUDGET, WorkBudgetError
-from .rng import splitmix64, substream
+from .rng import check_seed, splitmix64, substream
 from .tree import TreeParams, VertexSet
 
 ALL_MEASURES = frozenset({"cliques", "dense", "clusters", "events", "xs", "edges", "wall"})
@@ -51,6 +51,11 @@ SWEEP_HEADER = (
 )
 
 DEFAULT_MAX_N = 2**22
+
+
+def _check_placement(placement: str) -> None:
+    if placement not in ("spread", "left"):
+        raise ValueError(f"unknown placement rule {placement!r}")
 
 
 @dataclass(frozen=True)
@@ -82,8 +87,13 @@ class ExperimentConfig:
         object.__setattr__(self, "beta", as_fraction(self.beta))
         object.__setattr__(self, "heights", tuple(self.heights))
         object.__setattr__(self, "measures", frozenset(self.measures))
+        check_seed(self.seed)
+        _check_placement(self.placement)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        for name in ("candidates", "work_budget"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.h_from > self.h_to:
             raise ValueError(f"empty height range [{self.h_from}, {self.h_to}]")
         unknown = self.measures - ALL_MEASURES
@@ -191,11 +201,30 @@ class TrialReport:
     wall_ms: float = field(default=0.0, compare=False)
 
 
-def _map_trials(fn: Callable, tasks: Sequence, threads: int) -> list:
+def _run_trials(cfg: ExperimentConfig, measure: Callable, threads: int) -> list[list]:
+    """Sample the graph of every (tree height, trial) once, on its trial
+    seed, and return `measure(g, trial, seed, started)` for each, where
+    `started` is the perf_counter reading taken before sampling.  Results
+    are grouped by tree height, in trial order, at any thread count."""
+    tasks = [
+        (tree_height, trial)
+        for tree_height in cfg.tree_heights
+        for trial in range(cfg.trials)
+    ]
+
+    def run(task: tuple[int, int]):
+        tree_height, trial = task
+        started = time.perf_counter()
+        seed = cfg.trial_seed(tree_height, trial)
+        g = sample_graph(cfg.params_for(tree_height), seed, directed=cfg.directed)
+        return measure(g, trial, seed, started)
+
     if threads > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+            results = list(pool.map(run, tasks))
+    else:
+        results = [run(task) for task in tasks]
+    return [results[i : i + cfg.trials] for i in range(0, len(results), cfg.trials)]
 
 
 def _check_sweep_budget(cfg: ExperimentConfig) -> None:
@@ -270,18 +299,8 @@ def run_threshold_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[TrialRe
     _check_sweep_budget(cfg)
     spec = cfg.cluster_spec
 
-    tasks = [
-        (tree_height, trial)
-        for tree_height in cfg.tree_heights
-        for trial in range(cfg.trials)
-    ]
-
-    def run(task: tuple[int, int]) -> TrialReport:
-        tree_height, trial = task
-        t0 = time.perf_counter()
-        seed = cfg.trial_seed(tree_height, trial)
-        params = cfg.params_for(tree_height)
-        g = sample_graph(params, seed, directed=cfg.directed)
+    def measure(g: Graph, trial: int, seed: int, started: float) -> TrialReport:
+        tree_height = g.params.H
         stats = tuple(
             _scan_height(g, spec, h, cfg.resolve_h_star(tree_height, h), cfg.measures)
             for h in cfg.heights
@@ -290,13 +309,13 @@ def run_threshold_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[TrialRe
             trial=trial,
             seed=seed,
             tree_height=tree_height,
-            n=params.n,
+            n=g.params.n,
             edge_count=g.edge_count if "edges" in cfg.measures else None,
             per_height=stats,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
+            wall_ms=(time.perf_counter() - started) * 1e3,
         )
 
-    return _map_trials(run, tasks, threads)
+    return [rep for group in _run_trials(cfg, measure, threads) for rep in group]
 
 
 def _fmt(value) -> str:
@@ -307,41 +326,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv(cfg: ExperimentConfig, header: str, rows: Iterable[Sequence], echo=()) -> str:
+    """Render `rows` under `header`, prefixed by the resolved configuration
+    and any extra `echo` pairs as `# key=value` lines.  Floats print in
+    shortest round-trip form and None as an empty field."""
+    lines = [f"# {key}={val}" for key, val in (*cfg.items(), *echo)]
+    lines.append(header)
+    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def sweep_csv(cfg: ExperimentConfig, reports: Iterable[TrialReport]) -> str:
     """Render sweep reports in the documented CSV layout, prefixed by the
     resolved configuration."""
-    lines = [f"# {key}={val}" for key, val in cfg.items()]
-    lines.append(SWEEP_HEADER)
-    ordered = sorted(reports, key=lambda r: (r.tree_height, r.trial))
-    alpha, beta = str(cfg.alpha), str(cfg.beta)
-    eps = repr(cfg.resolved_epsilon)
+    c, eps = format_real(cfg.c), cfg.resolved_epsilon
     wall_on = "wall" in cfg.measures
-    for rep in ordered:
-        for hs in rep.per_height:
-            row = [
-                str(rep.trial),
-                str(rep.seed),
-                str(cfg.b),
-                str(rep.tree_height),
-                format_real(cfg.c),
-                alpha,
-                beta,
-                eps,
-                str(hs.height),
-                str(rep.n),
-                _fmt(hs.cliques),
-                _fmt(hs.dense_complete),
-                _fmt(hs.complete_clusters),
-                _fmt(hs.e1_rate),
-                _fmt(hs.e2_rate),
-                _fmt(hs.e3_rate),
-                _fmt(hs.d_rate),
-                _fmt(rep.edge_count),
-                _fmt(hs.xs_mean),
-                _fmt(rep.wall_ms) if wall_on else "",
-            ]
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = (
+        (
+            rep.trial, rep.seed, cfg.b, rep.tree_height, c, cfg.alpha, cfg.beta, eps,
+            hs.height, rep.n, hs.cliques, hs.dense_complete, hs.complete_clusters,
+            hs.e1_rate, hs.e2_rate, hs.e3_rate, hs.d_rate, rep.edge_count, hs.xs_mean,
+            rep.wall_ms if wall_on else None,
+        )
+        for rep in sorted(reports, key=lambda r: (r.tree_height, r.trial))
+        for hs in rep.per_height
+    )
+    return _csv(cfg, SWEEP_HEADER, rows)
 
 
 # --- event probability estimation ------------------------------------------
@@ -359,8 +369,7 @@ class SetTemplate:
     placement: str = "spread"
 
     def __post_init__(self) -> None:
-        if self.placement not in ("spread", "left"):
-            raise ValueError(f"unknown placement rule {self.placement!r}")
+        _check_placement(self.placement)
         if self.size < 1:
             raise ValueError(f"set size must be >= 1, got {self.size}")
 
@@ -404,28 +413,29 @@ def estimate_event_probs(
     """Place one probe set per splitting block per trial and measure the
     frequency of each density/sparseness event."""
     spec = cfg.cluster_spec
-    results = []
+    probes_at = {}  # tree height -> (splitting height, probe sets)
     for tree_height in cfg.tree_heights:
         params = cfg.params_for(tree_height)
         h_star = cfg.resolve_h_star(tree_height, template.height)
-        star_block = params.b**h_star
-        roots = range(0, params.n, star_block)
-        probes = [place_set(template, root, params) for root in roots]
+        roots = range(0, params.n, params.b**h_star)
+        probes_at[tree_height] = h_star, [place_set(template, root, params) for root in roots]
 
-        def run(trial: int) -> list[int]:
-            seed = cfg.trial_seed(tree_height, trial)
-            g = sample_graph(params, seed, directed=cfg.directed)
-            tally = [0] * len(EVENT_KEYS)
-            for M in probes:
-                rep = event_report(M, g, spec, h_star)
-                tally[0] += rep.dense
-                tally[1] += rep.e1
-                tally[2] += rep.e2
-                tally[3] += rep.e3
-                tally[4] += rep.is_cluster
-            return tally
+    def measure(g: Graph, trial: int, seed: int, started: float) -> list[int]:
+        h_star, probes = probes_at[g.params.H]
+        tally = [0] * len(EVENT_KEYS)
+        for M in probes:
+            rep = event_report(M, g, spec, h_star)
+            tally[0] += rep.dense
+            tally[1] += rep.e1
+            tally[2] += rep.e2
+            tally[3] += rep.e3
+            tally[4] += rep.is_cluster
+        return tally
 
-        tallies = _map_trials(run, range(cfg.trials), threads)
+    results = []
+    for tree_height, tallies in zip(cfg.tree_heights, _run_trials(cfg, measure, threads)):
+        params = cfg.params_for(tree_height)
+        h_star, probes = probes_at[tree_height]
         totals = [sum(t[i] for t in tallies) for i in range(len(EVENT_KEYS))]
         obs = len(probes) * cfg.trials
         freq = {k: totals[i] / obs for i, k in enumerate(EVENT_KEYS)}
@@ -449,19 +459,18 @@ def estimate_event_probs(
 
 
 def events_csv(cfg: ExperimentConfig, template: SetTemplate, estimates) -> str:
-    lines = [f"# {key}={val}" for key, val in cfg.items()]
-    lines.append(f"# template_height={template.height}")
-    lines.append(f"# template_size={template.size}")
-    lines.append(f"# template_placement={template.placement}")
-    lines.append("H,n,h_star,event,frequency,se,count,observations")
-    for est in estimates:
-        for key in EVENT_KEYS:
-            lines.append(
-                f"{est.tree_height},{est.n},{est.h_star_used},{key},"
-                f"{repr(est.freq[key])},{repr(est.se[key])},"
-                f"{est.counts[key]},{est.observations}"
-            )
-    return "\n".join(lines) + "\n"
+    echo = (
+        ("template_height", template.height),
+        ("template_size", template.size),
+        ("template_placement", template.placement),
+    )
+    rows = (
+        (est.tree_height, est.n, est.h_star_used, key, est.freq[key], est.se[key],
+         est.counts[key], est.observations)
+        for est in estimates
+        for key in EVENT_KEYS
+    )
+    return _csv(cfg, "H,n,h_star,event,frequency,se,count,observations", rows, echo)
 
 
 # --- externally sparse sets below the size threshold ------------------------
@@ -497,13 +506,13 @@ class TrendPoint:
 
 def _candidate_sets(
     cfg: ExperimentConfig, params: TreeParams, m: int, seed: int
-) -> tuple[list[tuple[int, ...]], bool]:
+) -> list[tuple[int, ...]]:
     """Candidate m-subsets: exhaustive for n <= 20, otherwise every
     m-subset local to one minimal-height complete set plus random
     subsets from the trial's auxiliary stream."""
     n = params.n
     if n <= 20:
-        return [c for c in combinations(range(n), m)], True
+        return list(combinations(range(n), m))
     h_loc = 0
     while params.b**h_loc < m:
         h_loc += 1
@@ -521,7 +530,7 @@ def _candidate_sets(
     for combo in sorted(extra):
         if combo not in seen:
             local.append(combo)
-    return local, False
+    return local
 
 
 def trend_sparse_below_mstar(cfg: ExperimentConfig, threads: int = 1) -> list[TrendPoint]:
@@ -533,28 +542,31 @@ def trend_sparse_below_mstar(cfg: ExperimentConfig, threads: int = 1) -> list[Tr
         raise ValueError(
             f"m_star = {ms} leaves no integer sizes below it; nothing to test"
         )
+    if sizes[-1] > cfg.b**cfg.h_from:
+        raise ValueError(
+            f"size m = {sizes[-1]} below m_star exceeds n = {cfg.b**cfg.h_from} "
+            f"at H = {cfg.h_from}, so it has no candidate sets"
+        )
     spec = cfg.cluster_spec
-    points = []
-    for tree_height in cfg.tree_heights:
-        params = cfg.params_for(tree_height)
-        n = params.n
+
+    def measure(g: Graph, trial: int, seed: int, started: float) -> list[tuple[int, int]]:
+        tally = []
         for m in sizes:
+            candidates = _candidate_sets(cfg, g.params, m, seed)
+            found = sum(
+                is_externally_sparse(VertexSet.from_leaves(combo, g.params), g, spec)
+                for combo in candidates
+            )
+            tally.append((found, len(candidates)))
+        return tally
 
-            def run(trial: int) -> tuple[int, int, int]:
-                seed = cfg.trial_seed(tree_height, trial)
-                g = sample_graph(params, seed, directed=cfg.directed)
-                candidates, _ = _candidate_sets(cfg, params, m, seed)
-                found = 0
-                for combo in candidates:
-                    M = VertexSet.from_leaves(combo, params)
-                    if is_externally_sparse(M, g, spec):
-                        found += 1
-                return found, len(candidates), int(found > 0)
-
-            outcomes = _map_trials(run, range(cfg.trials), threads)
+    points = []
+    for tree_height, tallies in zip(cfg.tree_heights, _run_trials(cfg, measure, threads)):
+        n = cfg.b**tree_height
+        for m, outcomes in zip(sizes, zip(*tallies)):
             total_found = sum(o[0] for o in outcomes)
             total_checked = sum(o[1] for o in outcomes)
-            exist_hits = sum(o[2] for o in outcomes)
+            exist_hits = sum(o[0] > 0 for o in outcomes)
             exist_freq = exist_hits / cfg.trials
             cand_freq = total_found / total_checked
             k = math.floor(cfg.alpha * m) + 1
@@ -579,20 +591,17 @@ def trend_sparse_below_mstar(cfg: ExperimentConfig, threads: int = 1) -> list[Tr
 
 
 def trend_csv(cfg: ExperimentConfig, points: Iterable[TrendPoint]) -> str:
-    lines = [f"# {key}={val}" for key, val in cfg.items()]
-    lines.append(
+    rows = (
+        (pt.tree_height, pt.n, pt.size, pt.trials, pt.exist_freq, pt.exist_se,
+         pt.candidate_freq, pt.candidate_se, pt.per_set_bound, pt.union_bound,
+         int(pt.exhaustive), pt.candidates_per_trial)
+        for pt in points
+    )
+    header = (
         "H,n,m,trials,exist_freq,exist_se,candidate_freq,candidate_se,"
         "per_set_bound,union_bound,exhaustive,candidates_per_trial"
     )
-    for pt in points:
-        lines.append(
-            f"{pt.tree_height},{pt.n},{pt.size},{pt.trials},"
-            f"{repr(pt.exist_freq)},{repr(pt.exist_se)},"
-            f"{repr(pt.candidate_freq)},{repr(pt.candidate_se)},"
-            f"{repr(pt.per_set_bound)},{repr(pt.union_bound)},"
-            f"{int(pt.exhaustive)},{pt.candidates_per_trial}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(cfg, header, rows)
 
 
 # --- internal-edge statistics ------------------------------------------------
@@ -616,34 +625,23 @@ class XsStats:
 def xs_statistics(cfg: ExperimentConfig, h: int, threads: int = 1) -> list[XsStats]:
     """Internal edge counts over all complete height-h sets of every
     trial, per tree height."""
-    from .clusters import internal_edge_count
+    if not 0 <= h <= cfg.h_from:
+        raise ValueError(f"height {h} outside [0, {cfg.h_from}] (the smallest tree height)")
+
+    def measure(g: Graph, trial: int, seed: int, started: float) -> list[int]:
+        block = g.params.b**h
+        return [
+            internal_edge_count(VertexSet(tuple(range(root, root + block)), h, root), g)
+            for root in range(0, g.params.n, block)
+        ]
 
     results = []
-    for tree_height in cfg.tree_heights:
-        if h > tree_height:
-            raise ValueError(f"height {h} exceeds tree height {tree_height}")
+    for tree_height, per_trial in zip(cfg.tree_heights, _run_trials(cfg, measure, threads)):
         params = cfg.params_for(tree_height)
-        block = params.b**h
-
-        def run(trial: int) -> tuple[int, int, int]:
-            seed = cfg.trial_seed(tree_height, trial)
-            g = sample_graph(params, seed, directed=cfg.directed)
-            s = s2 = 0
-            count = 0
-            for root in range(0, params.n, block):
-                M = VertexSet(tuple(range(root, root + block)), h, root)
-                x = internal_edge_count(M, g)
-                s += x
-                s2 += x * x
-                count += 1
-            return s, s2, count
-
-        outcomes = _map_trials(run, range(cfg.trials), threads)
-        s = sum(o[0] for o in outcomes)
-        s2 = sum(o[1] for o in outcomes)
-        count = sum(o[2] for o in outcomes)
-        mean = s / count
-        var = s2 / count - mean * mean
+        xs = [x for counts in per_trial for x in counts]
+        count = len(xs)
+        mean = sum(xs) / count
+        var = sum(x * x for x in xs) / count - mean * mean
         results.append(
             XsStats(
                 tree_height=tree_height,
@@ -660,11 +658,9 @@ def xs_statistics(cfg: ExperimentConfig, h: int, threads: int = 1) -> list[XsSta
 
 
 def xs_csv(cfg: ExperimentConfig, stats: Iterable[XsStats]) -> str:
-    lines = [f"# {key}={val}" for key, val in cfg.items()]
-    lines.append("H,n,h,trials,observations,emp_mean,emp_var,analytic_mean")
-    for st in stats:
-        lines.append(
-            f"{st.tree_height},{st.n},{st.height},{st.trials},{st.observations},"
-            f"{repr(st.emp_mean)},{repr(st.emp_var)},{repr(st.analytic_mean)}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (st.tree_height, st.n, st.height, st.trials, st.observations,
+         st.emp_mean, st.emp_var, st.analytic_mean)
+        for st in stats
+    )
+    return _csv(cfg, "H,n,h,trials,observations,emp_mean,emp_var,analytic_mean", rows)

@@ -39,7 +39,9 @@ class TreeParams:
         if not math.isfinite(c) or c <= 1.0:
             raise ValueError(f"shrink factor c must be a finite real > 1, got {self.c!r}")
         object.__setattr__(self, "c", c)
-        if self.b ** self.H > _MAX_N:
+        # b >= 2, so H >= 64 is out of range; testing it first avoids
+        # building a huge power from an outsized H
+        if self.H >= 64 or self.b ** self.H > _MAX_N:
             raise ValueError(f"leaf count b**H = {self.b}**{self.H} exceeds 64-bit range")
 
     @property

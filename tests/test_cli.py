@@ -1,11 +1,20 @@
+import hashlib
+import os
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cga.cli import (
+    _CONFIG_KEYS,
     EXIT_BUDGET,
     EXIT_IO,
     EXIT_NOT_CLUSTER,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     load_experiment_config,
     main,
     parse_config_text,
@@ -179,6 +188,41 @@ heights = 0,1,2
 """
 
 
+# Pinned SHA-256 digests of the CSV each experiment kind prints.  They fix
+# the output bytes (config echo, header, number formatting, row order), so
+# any change to them must be deliberate.
+GOLDEN_RUNS = [
+    ("sweep", "b=2\nc=2\nh_from=4\nh_to=5\ntrials=4\nseed=11\nheights=0,1,2\n"
+     "measures=cliques,dense,clusters,events,xs,edges\n",
+     "be54b4335e41db92105a23550b99ba7941ec1801739a834887cadbc0c96ec362"),
+    ("events", "b=2\nc=2\nh_from=5\nh_to=6\ntrials=6\nseed=501\nset_height=1\n"
+     "set_size=2\nh_star=3\n",
+     "92705ce0af081297533b83f74719e974426f839c32bcd3712df257e00a45d794"),
+    ("trend", "b=2\nc=1.5\nh_from=3\nh_to=5\nalpha=0.3\ntrials=4\nseed=606\n"
+     "candidates=20\n",
+     "d64760745afd8580bbcf5065782cc49f048d210d6477404cdd0452e71c784d90"),
+    ("xs", "b=2\nc=2\nh_from=4\nh_to=6\ntrials=5\nseed=13\nset_height=2\n",
+     "74a144f08c0c5fff49d5f25741e9f3c5f9669ca2bfd589104fbf2dfe2332ebc7"),
+    ("sweep", "b=2\nc=2\nh_from=4\nh_to=5\ntrials=3\nseed=11\nheights=1\ndirected=1\n",
+     "0c0c6893c135434f3e37e05147f9ca8433d7c8e6e393f46d0f39dfe3b8402fca"),
+]
+GOLDEN_IDS = ["sweep", "events", "trend", "xs", "sweep-directed"]
+
+# Each case edits one line of SWEEP_CONFIG into a bad config, and gives a
+# fragment the error message must contain.
+BAD_CONFIGS = {
+    "duplicate-key": ("seed = 11", "seed = 11\nseed = 12", "config line 10: duplicate key 'seed'"),
+    "negative-seed": ("seed = 11", "seed = -1", "seed"),
+    "negative-candidates": ("seed = 11", "seed = 11\ncandidates = -1", "candidates"),
+    "negative-work-budget": ("seed = 11", "seed = 11\nwork_budget = -1", "work_budget"),
+    "unknown-placement": ("seed = 11", "seed = 11\nplacement = middle", "placement"),
+    "zero-denominator": ("alpha = 0.5", "alpha = 1/0", "alpha"),
+    "missing-key": ("b = 2\n", "", "missing config keys: ['b']"),
+}
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
 class TestExperimentCommand:
     def test_sweep_csv_contract(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -206,13 +250,11 @@ class TestExperimentCommand:
 
     def test_trend_and_xs_kinds(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(SWEEP_CONFIG + "set_height = 1\ntrials = 2\n")
+        base = SWEEP_CONFIG.replace("trials = 4", "trials = 2")
+        cfg_path.write_text(base + "set_height = 1\n")
         for kind in ("trend", "xs", "events"):
-            extra = "" if kind != "events" else None
             if kind == "events":
-                cfg_path.write_text(
-                    SWEEP_CONFIG + "set_height = 1\nset_size = 2\ntrials = 2\n"
-                )
+                cfg_path.write_text(base + "set_height = 1\nset_size = 2\n")
             code = run(["experiment", kind, "--config", str(cfg_path)])
             assert code == EXIT_OK, kind
             assert capsys.readouterr().out.startswith("# ")
@@ -222,11 +264,38 @@ class TestExperimentCommand:
         cfg_path.write_text(SWEEP_CONFIG + "bogus = 1\n")
         assert run(["experiment", "sweep", "--config", str(cfg_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_bad_config_exits_2(self, tmp_path, capsys, case):
+        old, new, named = BAD_CONFIGS[case]
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SWEEP_CONFIG.replace(old, new))
+        assert run(["experiment", "sweep", "--config", str(cfg_path)]) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+
+    def test_trend_size_above_n_exits_2(self, tmp_path, capsys):
+        # m_star = 5.8 here, so size 5 is tested, but n = 2 at H = 1
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("b=2\nc=1.5\nalpha=0.3\nh_from=1\nh_to=2\ntrials=1\n")
+        assert run(["experiment", "trend", "--config", str(cfg_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "m = 5" in err and "H = 1" in err
+
     def test_parse_config_text(self):
         parsed = parse_config_text("a = 1\n# comment\nb=2  # trailing\n\n")
         assert parsed == {"a": "1", "b": "2"}
         with pytest.raises(ValueError):
             parse_config_text("just words\n")
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("kind,config,digest", GOLDEN_RUNS, ids=GOLDEN_IDS)
+    def test_golden_csv_digest(self, tmp_path, capsys, kind, config, digest, threads):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(config)
+        code = run(["experiment", kind, "--config", str(cfg_path),
+                    "--threads", str(threads)])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_load_experiment_config_types(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
@@ -236,3 +305,45 @@ class TestExperimentCommand:
         assert cfg.heights == (0, 1, 2)
         assert cfg.measures == frozenset({"cliques", "xs"})
         assert cfg.directed is True
+
+
+def test_shipped_configs_load_and_name_a_kind():
+    # configs/<kind>[_<variant>].cfg: the file-name prefix is the experiment kind
+    paths = sorted(CONFIG_DIR.glob("*.cfg"))
+    assert len(paths) >= 4
+    for path in paths:
+        load_experiment_config(str(path))
+        kind = path.stem.split("_")[0]
+        args = build_parser().parse_args(["experiment", kind, "--config", str(path)])
+        assert args.kind == kind
+
+
+CONFIG_VALUES = st.one_of(
+    st.integers().map(str),
+    st.fractions().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["0,1,2", "cliques,xs", "spread", "left", "1/0", ""]),
+    st.text(max_size=12),
+)
+VALID_BASE = {"b": "2", "c": "2", "h_from": "1", "h_to": "2"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    overrides=st.dictionaries(st.sampled_from(sorted(_CONFIG_KEYS)), CONFIG_VALUES),
+    extra=st.lists(st.tuples(st.text(max_size=8), CONFIG_VALUES), max_size=3),
+)
+def test_config_loading_raises_only_value_error(overrides, extra):
+    # Any config text, loaded from a file, either loads or raises ValueError.
+    lines = [f"{k}={v}" for k, v in {**VALID_BASE, **overrides}.items()]
+    lines += [f"{k}={v}" for k, v in extra]
+    text = "\n".join(lines) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "exp.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            parse_config_text(text)
+            load_experiment_config(path)
+        except ValueError:
+            pass

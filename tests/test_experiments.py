@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
+from cga import experiments
 from cga.bounds import expected_internal_edges, m_star
 from cga.experiments import (
     DEFAULT_MEASURES,
@@ -42,6 +43,12 @@ class TestConfig:
             cfg(heights=(5,))  # above the smallest tree height
         with pytest.raises(ValueError):
             cfg(measures=frozenset({"nope"}))
+        for bad in (dict(seed=-1), dict(seed=2**64), dict(candidates=-1),
+                    dict(work_budget=-1), dict(placement="middle")):
+            with pytest.raises(ValueError):
+                cfg(**bad)
+        with pytest.raises(ValueError):
+            SetTemplate(height=1, size=2, placement="middle")
 
     def test_desk_scale_guard(self):
         with pytest.raises(ValueError):
@@ -211,6 +218,16 @@ class TestTrend:
         with pytest.raises(ValueError):
             trend_sparse_below_mstar(c)
 
+    def test_size_above_n_rejected_before_sampling(self, monkeypatch):
+        # sizes below m_star = 5.8 run to 5, which exceeds n = 2 at H = 1
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a graph")
+
+        monkeypatch.setattr(experiments, "sample_graph", no_sampling)
+        c = ExperimentConfig(b=2, c=1.5, h_from=1, h_to=2, alpha="0.3", trials=1)
+        with pytest.raises(ValueError, match=r"m = 5 .* H = 1"):
+            trend_sparse_below_mstar(c)
+
     def test_exhaustive_at_n16_and_bound_value(self):
         c = cfg(trials=30, heights=())
         pts = trend_sparse_below_mstar(c)
@@ -343,6 +360,11 @@ class TestXsStatistics:
         c = cfg(h_from=6, h_to=6, trials=80, heights=(), seed=15)
         st = xs_statistics(c, 2)[0]
         assert st.emp_var <= st.emp_mean + 4 * 0.1
+
+    def test_rejects_height_outside_smallest_tree(self):
+        for h in (-1, 5):
+            with pytest.raises(ValueError):
+                xs_statistics(cfg(trials=1, heights=()), h)
 
     def test_csv_layout(self):
         c = cfg(trials=2, heights=())

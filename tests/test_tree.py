@@ -37,6 +37,9 @@ class TestTreeParams:
         with pytest.raises(ValueError):
             TreeParams(2, 64, 2.0)
         assert TreeParams(2, 63, 2.0).n == 2**63
+        # an outsized height is refused without building b**H
+        with pytest.raises(ValueError):
+            TreeParams(2, 2**40, 2.0)
 
 
 class TestPairHeight:
