@@ -15,10 +15,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import bounds as bounds_mod
-from .clusters import ClusterSpec, event_report
+from .clusters import ClusterSpec, as_fraction, event_report
 from .experiments import (
     ExperimentConfig,
     SetTemplate,
@@ -102,7 +101,7 @@ def _spec_from_args(args, g) -> ClusterSpec:
     mode = args.mode
     if mode is None:
         mode = "directed-out" if g.directed else "undirected"
-    return ClusterSpec(Fraction(args.alpha), Fraction(args.beta), mode)
+    return ClusterSpec(args.alpha, args.beta, mode)
 
 
 def cmd_verify(args) -> int:
@@ -191,7 +190,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    alpha = float(Fraction(args.alpha))
+    alpha = float(as_fraction(args.alpha, "alpha"))
     ms = bounds_mod.m_star(alpha, args.b, args.c)
     pairs = [
         ("command", "bounds"),
@@ -309,11 +308,6 @@ def load_experiment_config(path: str) -> ExperimentConfig:
             kwargs[key] = tuple(int(tok) for tok in value.split(",") if tok.strip())
         elif key == "measures":
             kwargs[key] = frozenset(tok.strip() for tok in value.split(",") if tok.strip())
-        elif key in ("alpha", "beta"):
-            try:
-                kwargs[key] = Fraction(value)
-            except ZeroDivisionError as exc:
-                raise ValueError(f"{key} = {value!r} has a zero denominator") from exc
         elif key in ("directed", "allow_large"):
             kwargs[key] = bool(int(value))
         else:

@@ -7,10 +7,10 @@ three events over a partition of the complement: E1 over S(M) \\ M (the
 rest of M's minimal complete set), E2 over S(M, h*) \\ S(M), and E3 over
 the rest of the graph, for any admissible splitting height h*.
 
-Thresholds alpha*|M| and beta*|M| are compared as exact rationals, so
-boundary cases like 1 >= 0.5 * 2 never depend on float rounding.  Pass
-alpha and beta as decimal strings for exact decimal semantics; floats are
-used at their exact binary value.
+Thresholds alpha*|M| and beta*|M| become exact integer cut-offs once per
+set size (`ClusterSpec.cutoffs`), so boundary cases like 1 >= 0.5 * 2 never
+depend on float rounding.  Pass alpha and beta as decimal strings for
+exact decimal semantics; floats are used at their exact binary value.
 
 With beta > 0 a singleton is never internally dense (0 >= beta fails), a
 deliberate consequence of measuring density against |M| including the
@@ -21,10 +21,12 @@ connectivity of a cluster is only guaranteed for beta >= 1/2.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, NamedTuple
+
+import numpy as np
 
 from .generator import Graph
 from .tree import TreeParams, VertexSet
@@ -36,12 +38,29 @@ TALL_THICK = "tall-thick"
 NEITHER = "neither"
 
 
-def as_fraction(x) -> Fraction:
+# the exponent of a decimal string, as Fraction's own grammar spells it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_MAX_EXPONENT = 100
+
+
+def as_fraction(x, name: str = "value") -> Fraction:
     """Exact rational from a decimal string, int, Fraction, or float (the
-    float's exact binary value)."""
-    if isinstance(x, str):
+    float's exact binary value).
+
+    A string with a decimal exponent outside [-100, 100] is refused before
+    Fraction builds 10**exponent, and a zero denominator is a ValueError;
+    `name` labels the value in the error message."""
+    if not isinstance(x, str):
         return Fraction(x)
-    return Fraction(x)
+    exponent = _EXPONENT.search(x)
+    if exponent and not -_MAX_EXPONENT <= int(exponent.group(1)) <= _MAX_EXPONENT:
+        raise ValueError(
+            f"{name} = {x!r} has an exponent outside [-{_MAX_EXPONENT}, {_MAX_EXPONENT}]"
+        )
+    try:
+        return Fraction(x)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"{name} = {x!r} has a zero denominator") from exc
 
 
 @dataclass(frozen=True)
@@ -53,14 +72,20 @@ class ClusterSpec:
     mode: Mode = "undirected"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        object.__setattr__(self, "beta", as_fraction(self.beta))
+        object.__setattr__(self, "alpha", as_fraction(self.alpha, "alpha"))
+        object.__setattr__(self, "beta", as_fraction(self.beta, "beta"))
         if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not 0 < self.beta <= 1:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
         if self.mode not in ("undirected", "directed-out"):
             raise ValueError(f"unknown mode {self.mode!r}")
+
+    def cutoffs(self, m: int) -> tuple[int, int]:
+        """(dense_min, sparse_max) = (ceil(beta*m), floor(alpha*m)): an edge
+        count e is >= beta*m iff e >= dense_min, and <= alpha*m iff e <= sparse_max."""
+        a, b = self.alpha, self.beta
+        return -(-b.numerator * m // b.denominator), a.numerator * m // a.denominator
 
 
 class Witness(NamedTuple):
@@ -113,43 +138,31 @@ def _check_mode(g: Graph, mode: Mode) -> None:
 def edges_to_set(v: int, M, g: Graph, mode: Mode = "undirected") -> int:
     """Number of edges between v and M (arcs from v into M in directed-out
     mode), never counting v itself."""
+    _, counts = _incoming_counts(M, g, mode, "edge count against")
+    return counts.get(v, 0)
+
+
+def _incoming_counts(M, g: Graph, mode: Mode, what: str) -> tuple[VertexSet, dict[int, int]]:
+    """M as a VertexSet, and edges_to_set(u, M) for every u with at least
+    one edge (arc) into M, members included; vertices absent from the map
+    have count 0.  `what` words the error for an empty M."""
     _check_mode(g, mode)
     M = _as_set(M, g)
     if not M.members:
-        raise ValueError("edge count against the empty set is undefined")
-    nb = g.neighbors(v)
-    ms = M.member_set
-    if len(nb) <= len(ms):
-        return sum(1 for w in nb if w in ms)
-    count = 0
-    for w in M.members:
-        if w == v:
-            continue
-        i = bisect_left(nb, w)
-        if i < len(nb) and nb[i] == w:
-            count += 1
-    return count
-
-
-def _incoming_counts(M: VertexSet, g: Graph, mode: Mode) -> dict[int, int]:
-    """e(u, M) for every u with at least one edge (arc) into M; vertices
-    absent from the map have count 0.  Members included."""
+        raise ValueError(f"{what} the empty set is undefined")
     counts: dict[int, int] = {}
     source = g.in_neighbors if (mode == "directed-out" and g.directed) else g.neighbors
     for m in M.members:
         for u in source(m):
             counts[u] = counts.get(u, 0) + 1
-    return counts
+    return M, counts
 
 
 def is_internally_dense(M, g: Graph, spec: ClusterSpec) -> bool:
     """True when every member v of M has edges_to_set(v, M) >= beta * |M|."""
-    _check_mode(g, spec.mode)
-    M = _as_set(M, g)
-    if not M.members:
-        raise ValueError("density of the empty set is undefined")
-    threshold = spec.beta * len(M.members)
-    return all(edges_to_set(v, M, g, spec.mode) >= threshold for v in M.members)
+    M, counts = _incoming_counts(M, g, spec.mode, "density of")
+    dense_min, _ = spec.cutoffs(len(M))
+    return all(counts.get(v, 0) >= dense_min for v in M.members)
 
 
 def is_externally_sparse(M, g: Graph, spec: ClusterSpec) -> bool:
@@ -159,14 +172,10 @@ def is_externally_sparse(M, g: Graph, spec: ClusterSpec) -> bool:
     (alpha > 0), so the scan touches edges incident to M, not all n
     vertices.
     """
-    _check_mode(g, spec.mode)
-    M = _as_set(M, g)
-    if not M.members:
-        raise ValueError("sparseness of the empty set is undefined")
-    threshold = spec.alpha * len(M.members)
-    counts = _incoming_counts(M, g, spec.mode)
+    M, counts = _incoming_counts(M, g, spec.mode, "sparseness of")
+    _, sparse_max = spec.cutoffs(len(M))
     ms = M.member_set
-    return all(cnt <= threshold for u, cnt in counts.items() if u not in ms)
+    return all(cnt <= sparse_max for u, cnt in counts.items() if u not in ms)
 
 
 def is_cluster(M, g: Graph, spec: ClusterSpec) -> bool:
@@ -182,44 +191,34 @@ def event_report(M, g: Graph, spec: ClusterSpec, h_star: int) -> EventReport:
     the graph; their conjunction is exactly external sparseness for any
     set_height(M) <= h_star <= H.
     """
-    _check_mode(g, spec.mode)
-    M = _as_set(M, g)
-    if not M.members:
-        raise ValueError("event report for the empty set is undefined")
+    M, counts = _incoming_counts(M, g, spec.mode, "event report for")
     p = g.params
     if not M.height <= h_star <= p.H:
         raise ValueError(
             f"h_star must lie in [{M.height}, {p.H}], got {h_star}"
         )
-    m = len(M.members)
-    beta_thresh = spec.beta * m
-    alpha_thresh = spec.alpha * m
+    dense_min, sparse_max = spec.cutoffs(len(M))
 
     witnesses: list[Witness] = []
 
     dense = True
     for v in M.members:  # ascending, so the first failure is the witness
-        cnt = edges_to_set(v, M, g, spec.mode)
-        if cnt < beta_thresh:
+        cnt = counts.get(v, 0)
+        if cnt < dense_min:
             dense = False
             witnesses.append(Witness("D", v, cnt))
             break
 
-    s_block = p.b ** M.height
-    s_lo, s_hi = M.root, M.root + s_block
-    star_block = p.b ** h_star
-    star_lo = (M.root // star_block) * star_block
-    star_hi = star_lo + star_block
-
-    counts = _incoming_counts(M, g, spec.mode)
+    # u lies in M's height-k subtree exactly when u // b**k == M.root // b**k
+    s_block, star_block = p.b**M.height, p.b**h_star
     ms = M.member_set
     region_violation: dict[str, Witness] = {}
     for u in sorted(counts):
-        if u in ms or counts[u] <= alpha_thresh:
+        if u in ms or counts[u] <= sparse_max:
             continue
-        if s_lo <= u < s_hi:
+        if u // s_block == M.root // s_block:
             event = "E1"
-        elif star_lo <= u < star_hi:
+        elif u // star_block == M.root // star_block:
             event = "E2"
         else:
             event = "E3"
@@ -242,15 +241,60 @@ def internal_edge_count(S, g: Graph) -> int:
     """Number of edges with both endpoints in S (arcs counted once)."""
     S = _as_set(S, g)
     ms = S.member_set
-    total = 0
-    for v in S.members:
-        nb = g.neighbors(v)
-        if len(nb) <= len(ms):
-            total += sum(1 for w in nb if w in ms)
-        else:
-            lo = bisect_left(nb, S.members[0])
-            total += sum(1 for w in nb[lo:] if w in ms)
+    total = sum(1 for v in S.members for w in g.neighbors(v) if w in ms)
     return total if g.directed else total // 2
+
+
+class CompleteSetScan(NamedTuple):
+    """Per-block results of `complete_set_scan`; block i is the complete set
+    [i * b**h, (i + 1) * b**h).  E1 holds vacuously for complete sets."""
+
+    internal: np.ndarray  # edges inside the block, arcs counted once
+    dense: np.ndarray  # event D
+    e2: np.ndarray
+    e3: np.ndarray
+
+    @property
+    def cluster(self) -> np.ndarray:
+        return self.dense & self.e2 & self.e3
+
+
+def complete_set_scan(g: Graph, spec: ClusterSpec, h: int, h_star: int) -> CompleteSetScan:
+    """Internal edge counts and events D, E2, E3 of all complete height-h
+    sets, from one pass over the arcs.  Block by block it agrees with
+    `internal_edge_count` and `event_report`, the path that names witnesses."""
+    _check_mode(g, spec.mode)
+    p = g.params
+    if not 0 <= h <= p.H:
+        raise ValueError(f"height must lie in [0, {p.H}], got {h}")
+    if not h <= h_star <= p.H:
+        raise ValueError(f"h_star must lie in [{h}, {p.H}], got {h_star}")
+    if p.n >= 2**31:  # keys u * blocks + block below reach n**2, beyond int64
+        raise ValueError(f"the complete-set scan needs n < 2**31, got n = {p.n}")
+    block = p.b**h
+    blocks = p.n // block
+    dense_min, sparse_max = spec.cutoffs(block)
+
+    src, dst = g.arc_arrays()  # arc u -> v counts toward e(u, block of v)
+    dst //= block
+    inside = src // block == dst
+    internal = np.bincount(dst[inside], minlength=blocks) // (1 if g.directed else 2)
+    degree = np.bincount(src[inside], minlength=p.n)
+    dense = degree.reshape(blocks, block).min(axis=1) >= dense_min
+
+    # key u * blocks + block of v per arc, built in place; in sorted keys a run
+    # longer than sparse_max, keys[i] == keys[i + sparse_max], breaks the cut-off
+    keys = src
+    keys *= blocks
+    keys += dst
+    keys.sort()
+    tail = keys[sparse_max:]
+    u, entered = np.divmod(tail[tail == keys[: len(tail)]], blocks)
+    outsider = u // block != entered
+    near = u // p.b**h_star == entered // p.b ** (h_star - h)
+    e2 = np.bincount(entered[outsider & near], minlength=blocks) == 0
+    e3 = np.bincount(entered[outsider & ~near], minlength=blocks) == 0
+    return CompleteSetScan(internal, dense, e2, e3)
 
 
 def sparse_core(M, g: Graph, fraction, mode: Mode | None = None) -> VertexSet:
@@ -258,16 +302,14 @@ def sparse_core(M, g: Graph, fraction, mode: Mode | None = None) -> VertexSet:
 
     May be empty.  Shrinks weakly as the fraction decreases.
     """
-    M = _as_set(M, g)
-    if not M.members:
-        raise ValueError("sparse core of the empty set is undefined")
-    f = as_fraction(fraction)
-    if not 0 < f <= 1:
-        raise ValueError(f"fraction must lie in (0, 1], got {fraction!r}")
     if mode is None:
         mode = "directed-out" if g.directed else "undirected"
-    threshold = f * len(M.members)
-    kept = [v for v in M.members if edges_to_set(v, M, g, mode) <= threshold]
+    M, counts = _incoming_counts(M, g, mode, "sparse core of")
+    f = as_fraction(fraction, "fraction")
+    if not 0 < f <= 1:
+        raise ValueError(f"fraction must lie in (0, 1], got {fraction!r}")
+    limit = math.floor(f * len(M))
+    kept = [v for v in M.members if counts.get(v, 0) <= limit]
     return VertexSet.from_leaves(kept, g.params)
 
 

@@ -31,11 +31,9 @@ from .bounds import expected_internal_edges, m_star, threshold_heights
 from .clusters import (
     ClusterSpec,
     as_fraction,
+    complete_set_scan,
     event_report,
-    internal_edge_count,
-    is_cluster,
     is_externally_sparse,
-    is_internally_dense,
 )
 from .generator import Graph, format_real, sample_graph
 from .oracle import DEFAULT_WORK_BUDGET, WorkBudgetError
@@ -83,8 +81,8 @@ class ExperimentConfig:
     work_budget: int = DEFAULT_WORK_BUDGET
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        object.__setattr__(self, "beta", as_fraction(self.beta))
+        object.__setattr__(self, "alpha", as_fraction(self.alpha, "alpha"))
+        object.__setattr__(self, "beta", as_fraction(self.beta, "beta"))
         object.__setattr__(self, "heights", tuple(self.heights))
         object.__setattr__(self, "measures", frozenset(self.measures))
         check_seed(self.seed)
@@ -104,7 +102,15 @@ class ExperimentConfig:
                 raise ValueError(
                     f"scanned height {h} outside [0, {self.h_from}] (the smallest tree height)"
                 )
-        # construct the largest parameter set once to validate b, c, size
+        if self.h_star is not None:
+            lo = max(0, *self.heights, self.set_height or 0)
+            if not lo <= self.h_star <= self.h_from:
+                raise ValueError(
+                    f"h_star {self.h_star} outside [{lo}, {self.h_from}]: it must reach "
+                    "every scanned height and set_height, and stay within h_from"
+                )
+        # the smallest and the largest parameter sets validate b, c and size
+        TreeParams(self.b, self.h_from, self.c)
         params = TreeParams(self.b, self.h_to, self.c)
         if params.n > DEFAULT_MAX_N and not self.allow_large:
             raise ValueError(
@@ -184,7 +190,6 @@ class HeightStats:
     e3_rate: float | None
     d_rate: float | None
     xs_mean: float | None
-    joint_rate: float | None = None  # D and E1 and E2 and E3 together
 
 
 @dataclass(frozen=True)
@@ -242,53 +247,24 @@ def _check_sweep_budget(cfg: ExperimentConfig) -> None:
 def _scan_height(
     g: Graph, spec: ClusterSpec, h: int, h_star: int, measures: frozenset[str]
 ) -> HeightStats:
-    p = g.params
-    block = p.b**h
-    blocks = p.n // block
-    full = block * (block - 1) // 2
-    want_internal = "cliques" in measures or "xs" in measures
+    scan = complete_set_scan(g, spec, h, h_star)
+    blocks = len(scan.internal)
+    full = g.params.b**h * (g.params.b**h - 1) // 2
     want_events = "events" in measures
     want_dense = "dense" in measures or want_events
     want_clusters = "clusters" in measures or want_events
-
-    cliques = 0
-    dense_count = 0
-    cluster_count = 0
-    e1 = e2 = e3 = 0
-    joint = 0
-    xs_total = 0
-    for root in range(0, p.n, block):
-        M = VertexSet(tuple(range(root, root + block)), h, root)
-        if want_internal:
-            internal = internal_edge_count(M, g)
-            xs_total += internal
-            if internal == full:
-                cliques += 1
-        if want_events:
-            rep = event_report(M, g, spec, h_star)
-            dense_count += rep.dense
-            e1 += rep.e1
-            e2 += rep.e2
-            e3 += rep.e3
-            joint += rep.is_cluster
-            cluster_count += rep.is_cluster
-        else:
-            if want_dense:
-                dense_count += is_internally_dense(M, g, spec)
-            if want_clusters:
-                cluster_count += is_cluster(M, g, spec)
+    dense = int(scan.dense.sum())
 
     return HeightStats(
         height=h,
-        cliques=cliques if "cliques" in measures else None,
-        dense_complete=dense_count if want_dense else None,
-        complete_clusters=cluster_count if want_clusters else None,
-        e1_rate=e1 / blocks if want_events else None,
-        e2_rate=e2 / blocks if want_events else None,
-        e3_rate=e3 / blocks if want_events else None,
-        d_rate=dense_count / blocks if want_events else None,
-        xs_mean=xs_total / blocks if "xs" in measures else None,
-        joint_rate=joint / blocks if want_events else None,
+        cliques=int((scan.internal == full).sum()) if "cliques" in measures else None,
+        dense_complete=dense if want_dense else None,
+        complete_clusters=int(scan.cluster.sum()) if want_clusters else None,
+        e1_rate=1.0 if want_events else None,
+        e2_rate=int(scan.e2.sum()) / blocks if want_events else None,
+        e3_rate=int(scan.e3.sum()) / blocks if want_events else None,
+        d_rate=dense / blocks if want_events else None,
+        xs_mean=int(scan.internal.sum()) / blocks if "xs" in measures else None,
     )
 
 
@@ -569,7 +545,7 @@ def trend_sparse_below_mstar(cfg: ExperimentConfig, threads: int = 1) -> list[Tr
             exist_hits = sum(o[0] > 0 for o in outcomes)
             exist_freq = exist_hits / cfg.trials
             cand_freq = total_found / total_checked
-            k = math.floor(cfg.alpha * m) + 1
+            k = spec.cutoffs(m)[1] + 1
             per_set = 1.0 if k > m else math.exp(-(n - m) * cfg.c ** (-k * tree_height))
             points.append(
                 TrendPoint(
@@ -629,11 +605,7 @@ def xs_statistics(cfg: ExperimentConfig, h: int, threads: int = 1) -> list[XsSta
         raise ValueError(f"height {h} outside [0, {cfg.h_from}] (the smallest tree height)")
 
     def measure(g: Graph, trial: int, seed: int, started: float) -> list[int]:
-        block = g.params.b**h
-        return [
-            internal_edge_count(VertexSet(tuple(range(root, root + block)), h, root), g)
-            for root in range(0, g.params.n, block)
-        ]
+        return complete_set_scan(g, cfg.cluster_spec, h, g.params.H).internal.tolist()
 
     results = []
     for tree_height, per_trial in zip(cfg.tree_heights, _run_trials(cfg, measure, threads)):

@@ -22,7 +22,10 @@ import math
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .rng import SubstreamSampler, check_seed, substream
 from .tree import TreeParams, pair_height
@@ -63,6 +66,14 @@ class Graph:
         nb = self.neighbors(u)
         i = bisect_left(nb, v)
         return i < len(nb) and nb[i] == v
+
+    def arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh int64 arrays (src, dst), one entry per v in neighbors(u):
+        each arc once, each undirected edge once in either direction."""
+        sizes = [len(nb) for nb in self.adjacency.values()]
+        src = np.repeat(np.fromiter(self.adjacency, np.int64, len(sizes)), sizes)
+        dst = np.fromiter(chain.from_iterable(self.adjacency.values()), np.int64, len(src))
+        return src, dst
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) pairs; u < v for undirected graphs, arcs
@@ -273,10 +284,12 @@ def parse_edge_list(text: str) -> Graph:
     )
     try:
         params = TreeParams(int(fields["b"]), int(fields["H"]), float(fields["c"]))
-        seed = int(fields["seed"])
-        directed = bool(int(fields["directed"]))
+        seed = check_seed(int(fields["seed"]))
+        directed = int(fields["directed"])
     except KeyError as exc:
         raise ValueError(f"header missing field {exc}") from exc
+    if directed not in (0, 1):
+        raise ValueError(f"header field directed must be 0 or 1, got {directed}")
     edges = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -288,8 +301,7 @@ def parse_edge_list(text: str) -> Graph:
         if not directed and u >= v:
             raise ValueError(f"line {lineno}: undirected edges require u < v")
         edges.append((u, v))
-    g = Graph.from_edges(params, edges, directed=directed, seed=seed)
-    return g
+    return Graph.from_edges(params, edges, directed=bool(directed), seed=seed)
 
 
 def read_edge_list(path) -> Graph:

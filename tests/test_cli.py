@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cga import experiments
 from cga.cli import (
     _CONFIG_KEYS,
     EXIT_BUDGET,
@@ -109,6 +110,24 @@ class TestVerify:
         code = run(["verify", "--graph", edge_file, "--set", "0;1",
                     "--alpha", "0.5", "--beta", "0.5"])
         assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("value", ["1/0", "1e-9999999"])
+def test_bad_alpha_or_beta_flag_exits_2(edge_file, capsys, value):
+    # a zero denominator used to escape as ZeroDivisionError (exit 1), and
+    # a huge exponent stalled while Fraction built 10**9999999
+    graph_args = {
+        "verify": ["--set", "0,1"],
+        "enumerate": ["--height", "1"],
+        "oracle": ["--max-size", "2"],
+    }
+    argvs = [["bounds", "--b", "2", "--c", "2", "--alpha", value]]
+    for command, extra in graph_args.items():
+        for flag, other in (("--alpha", "--beta"), ("--beta", "--alpha")):
+            argvs.append([command, "--graph", edge_file, *extra, flag, value, other, "0.5"])
+    for argv in argvs:
+        assert run(argv) == EXIT_USAGE, argv
+        assert f"= '{value}' has" in capsys.readouterr().err, argv
 
 
 class TestEnumerateAndOracle:
@@ -217,6 +236,8 @@ BAD_CONFIGS = {
     "negative-work-budget": ("seed = 11", "seed = 11\nwork_budget = -1", "work_budget"),
     "unknown-placement": ("seed = 11", "seed = 11\nplacement = middle", "placement"),
     "zero-denominator": ("alpha = 0.5", "alpha = 1/0", "alpha"),
+    "huge-exponent": ("beta = 0.5", "beta = 1e-9999999", "beta = '1e-9999999' has an exponent"),
+    "h-star-below-scanned-height": ("seed = 11", "seed = 11\nh_star = 1", "h_star 1 outside [2, 4]"),
     "missing-key": ("b = 2\n", "", "missing config keys: ['b']"),
 }
 
@@ -269,6 +290,22 @@ class TestExperimentCommand:
         old, new, named = BAD_CONFIGS[case]
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(SWEEP_CONFIG.replace(old, new))
+        assert run(["experiment", "sweep", "--config", str(cfg_path)]) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,named", [
+        ("h_from = -3\nh_to = 3", "tree height"),
+        ("h_from = 0\nh_to = 3", "tree height"),
+        ("h_from = 2\nh_to = 3\nh_star = 99", "h_star 99 outside [0, 2]"),
+    ])
+    def test_bad_heights_exit_2_before_the_sweep_starts(self, tmp_path, capsys,
+                                                        monkeypatch, text, named):
+        def started(cfg):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(experiments, "_check_sweep_budget", started)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"b = 2\nc = 2\ntrials = 1\n{text}\n")
         assert run(["experiment", "sweep", "--config", str(cfg_path)]) == EXIT_USAGE
         assert named in capsys.readouterr().err
 

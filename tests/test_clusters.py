@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,9 @@ from cga.clusters import (
     SHORT_THICK,
     TALL_THICK,
     ClusterSpec,
+    as_fraction,
     classify_thick,
+    complete_set_scan,
     edges_to_set,
     event_report,
     internal_edge_count,
@@ -48,6 +50,26 @@ class TestClusterSpec:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             ClusterSpec("0.5", "0.5", "directed-in")
+
+    def test_cutoffs_are_exact_integer_thresholds(self):
+        for alpha, beta in product(["1/3", "0.499", "0.5", "0.501", "1"], repeat=2):
+            spec = ClusterSpec(alpha, beta)
+            for m in range(1, 30):
+                dense_min, sparse_max = spec.cutoffs(m)
+                for e in range(m + 1):
+                    assert (e >= dense_min) == (e >= spec.beta * m)
+                    assert (e <= sparse_max) == (e <= spec.alpha * m)
+
+    @pytest.mark.parametrize("text", ["1/0", "1e-9999999", "1e9999999", "1E+101", "1e-1_01"])
+    def test_string_parser_refuses_zero_denominator_and_huge_exponents(self, text):
+        # the exponent cases would otherwise build 10**|exponent| first
+        with pytest.raises(ValueError, match="alpha"):
+            as_fraction(text, "alpha")
+
+    def test_string_parser_keeps_exponents_up_to_100(self):
+        assert as_fraction("2.5e-100") == Fraction(25, 10**101)
+        assert as_fraction(" 1E+100 ") == 10**100
+        assert ClusterSpec("5e-1", "1e0").alpha == Fraction(1, 2)
 
 
 class TestEdgesToSet:
@@ -233,6 +255,55 @@ class TestInternalEdgeCount:
         g = graph(P22, [(0, 1), (1, 0), (0, 2)], directed=True)
         assert internal_edge_count([0, 1], g) == 2
         assert internal_edge_count([0, 1, 2], g) == 3
+
+
+class TestCompleteSetScan:
+    def test_agrees_with_event_report_and_definition_oracle(self):
+        # alpha and beta sit on, just below and just above integral
+        # alpha*m and beta*m for the even and the power-of-3 sizes
+        alphas = ["1/3", "0.499", "1/2", "0.501"]
+        betas = ["1/3", "0.499", "1/2", "0.501", "1"]
+        seen = set()
+        for (b, H), directed, c, seed in product(
+            [(2, 4), (3, 2)], [False, True], [1.1, 1.8], [1, 2]
+        ):
+            g = sample_graph(TreeParams(b, H, c), seed, directed=directed)
+            modes = ["directed-out"] if directed else ["undirected", "directed-out"]
+            for mode, alpha, beta in product(modes, alphas, betas):
+                spec = ClusterSpec(alpha, beta, mode)
+                for h in range(H + 1):
+                    block = b**h
+                    sets = [range(r, r + block) for r in range(0, b**H, block)]
+                    naive = [naive_is_cluster(M, g, spec.alpha, spec.beta) for M in sets]
+                    pairs = [
+                        sum(g.has_edge(u, v) for u in M for v in M if u != v) for M in sets
+                    ]
+                    for h_star in range(h, H + 1):
+                        scan = complete_set_scan(g, spec, h, h_star)
+                        for i, M in enumerate(sets):
+                            rep = event_report(M, g, spec, h_star)
+                            got = (scan.dense[i], scan.e2[i], scan.e3[i], scan.cluster[i])
+                            assert got == (rep.dense, rep.e2, rep.e3, rep.is_cluster)
+                            assert rep.e1 and rep.is_cluster == naive[i]
+                            internal = internal_edge_count(M, g)
+                            assert scan.internal[i] == internal
+                            assert internal == (pairs[i] if directed else pairs[i] // 2)
+                            seen |= {("D", rep.dense), ("E2", rep.e2), ("E3", rep.e3),
+                                     ("cluster", rep.is_cluster)}
+        assert len(seen) == 8  # every event both held and failed somewhere
+
+    def test_rejects_bad_heights_and_mode(self):
+        g = sample_graph(P23, 9)
+        for h, h_star in [(-1, 2), (4, 4), (2, 1), (1, 4)]:
+            with pytest.raises(ValueError):
+                complete_set_scan(g, HALF, h, h_star)
+        with pytest.raises(ValueError):
+            complete_set_scan(sample_graph(P23, 9, directed=True), HALF, 1, 2)
+
+    def test_refuses_trees_beyond_int32(self):
+        g = Graph.from_edges(TreeParams(2, 31, 2.0), [])
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            complete_set_scan(g, HALF, 1, 1)
 
 
 class TestSparseCore:

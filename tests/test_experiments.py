@@ -50,6 +50,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             SetTemplate(height=1, size=2, placement="middle")
 
+    def test_tree_and_splitting_heights_checked_at_load(self):
+        for bad in (dict(h_from=-3, heights=()), dict(h_from=0, heights=()),
+                    dict(h_star=99), dict(h_star=5, h_to=6), dict(h_star=1),
+                    dict(h_star=2, heights=(), set_height=3), dict(h_star=-1, heights=())):
+            with pytest.raises(ValueError):
+                cfg(**bad)
+        assert cfg(h_star=2).h_star == 2 and cfg(h_star=0, heights=()).h_star == 0
+
     def test_desk_scale_guard(self):
         with pytest.raises(ValueError):
             cfg(h_to=23, heights=())
@@ -103,7 +111,8 @@ class TestSweep:
             for hs in rep.per_height:
                 assert hs.complete_clusters <= blocks[hs.height]
                 assert hs.cliques <= blocks[hs.height]
-                assert hs.joint_rate <= min(hs.d_rate, hs.e1_rate, hs.e2_rate, hs.e3_rate)
+                joint_rate = hs.complete_clusters / blocks[hs.height]
+                assert joint_rate <= min(hs.d_rate, hs.e1_rate, hs.e2_rate, hs.e3_rate)
                 assert hs.e1_rate == 1.0  # complete sets satisfy E1 vacuously
 
     def test_clique_count_calibration(self):

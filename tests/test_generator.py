@@ -214,11 +214,36 @@ class TestEdgeListFormat:
             "# cga b=2 H=2 c=2 seed=0 directed=0\n0 1 2\n",  # malformed line
             "# cga b=2 H=2 c=2 seed=0 directed=0\n0 9\n",  # out of range
             "# cga b=2 H=2 c=2 seed=0 directed=0\n0 1\n0 1\n",  # duplicate
+            "# cga b=2 H=2 c=2 seed=-1 directed=0\n",  # seed below 0
+            f"# cga b=2 H=2 c=2 seed={2**64} directed=0\n",  # seed beyond 64 bits
+            "# cga b=2 H=2 c=2 seed=0 directed=7\n",  # directed neither 0 nor 1
         ],
     )
     def test_rejects_malformed_files(self, text):
         with pytest.raises(ValueError):
             parse_edge_list(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fields=st.dictionaries(
+            st.sampled_from(["b", "H", "c", "seed", "directed"]),
+            st.one_of(st.integers().map(str), st.floats().map(repr), st.text(max_size=8)),
+        ),
+        body=st.lists(
+            st.one_of(st.tuples(st.integers(-2, 40), st.integers(-2, 40)).map("{0[0]} {0[1]}".format),
+                      st.text(max_size=8)),
+            max_size=4,
+        ),
+    )
+    def test_parsing_raises_only_value_error(self, fields, body):
+        # Any header and body either parses or raises ValueError.
+        header = {"b": "2", "H": "3", "c": "2", "seed": "0", "directed": "0", **fields}
+        text = "\n".join(["# cga " + " ".join(f"{k}={v}" for k, v in header.items()), *body])
+        try:
+            g = parse_edge_list(text)
+        except ValueError:
+            return
+        assert isinstance(g.directed, bool) and 0 <= g.seed < 2**64
 
 
 class TestGraphConstruction:
