@@ -524,10 +524,17 @@ def trend_sparse_below_mstar(cfg: ExperimentConfig, threads: int = 1) -> list[Tr
             f"at H = {cfg.h_from}, so it has no candidate sets"
         )
     spec = cfg.cluster_spec
+    singleton_max = spec.cutoffs(1)[1]
 
     def measure(g: Graph, trial: int, seed: int, started: float) -> list[tuple[int, int]]:
         tally = []
         for m in sizes:
+            if m == 1:
+                # every leaf is a candidate, and each in-neighbor of v sends
+                # {v} one edge: {v} is sparse unless it has an in-neighbor
+                # and 1 > sparse_max
+                tally.append((g.n - (g.count_with_in_neighbors() if singleton_max < 1 else 0), g.n))
+                continue
             candidates = _candidate_sets(cfg, g.params, m, seed)
             found = sum(
                 is_externally_sparse(VertexSet.from_leaves(combo, g.params), g, spec)

@@ -19,11 +19,12 @@ matter how blocks are scheduled across threads.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,93 +32,174 @@ from .rng import SubstreamSampler, check_seed, substream
 from .tree import TreeParams, pair_height
 
 _BLOCK_CHUNK = 8192  # blocks per worker task
+_INT64_MAX = 2**63 - 1
+_LINES_PER_SLICE = 2**14  # edge-list lines formatted per step
 
 
-@dataclass(frozen=True)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class Csr(NamedTuple):
+    """Sorted adjacency lists in compressed sparse row form, over the
+    vertices that have at least one neighbor: row k is vertex rows[k], and
+    its neighbors are indices[indptr[k]:indptr[k + 1]], ascending.  Keeping
+    only the non-empty rows holds memory to O(edges) for any leaf count.
+    All three int64 arrays are read-only."""
+
+    rows: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def from_arcs(cls, src: np.ndarray, dst: np.ndarray, n: int) -> "Csr":
+        """The CSR of the arcs src[i] -> dst[i], all leaves below n; a
+        repeated arc is a ValueError."""
+        if n * n <= 2**63:  # every key src * n + dst fits in int64
+            keys = src * n
+            keys += dst
+            keys.sort()
+            src, dst = np.divmod(keys, n)
+        else:
+            order = np.lexsort((dst, src))
+            src, dst = src[order], dst[order]
+        same_row = src[1:] == src[:-1]
+        repeat = same_row & (dst[1:] == dst[:-1])
+        if np.count_nonzero(repeat):
+            i = repeat.argmax()
+            raise ValueError(f"duplicate edge {src[i]}-{dst[i]}")
+        starts = np.concatenate(([len(src) > 0], ~same_row)).nonzero()[0]
+        indptr = np.concatenate((starts, [len(src)]))
+        return cls(_frozen(src[starts]), _frozen(indptr), _frozen(dst))
+
+    def row(self, v: int) -> np.ndarray:
+        """The neighbors of v; empty when v has none."""
+        k = self.rows.searchsorted(v)
+        if k < len(self.rows) and self.rows[k] == v:
+            return self.indices[self.indptr[k] : self.indptr[k + 1]]
+        return self.indices[:0]
+
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh (src, dst) arrays, one entry per stored neighbor, in row order."""
+        return self.rows.repeat(self.indptr[1:] - self.indptr[:-1]), self.indices.copy()
+
+
+def _edge_array(params: TreeParams, edges) -> np.ndarray:
+    """`edges` as an (E, 2) int64 array; a leaf beyond int64 is a ValueError."""
+    pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        arr = np.asarray(pairs, dtype=np.int64)
+    except OverflowError:
+        big = next(x for pair in pairs for x in pair if not -_INT64_MAX - 1 <= x <= _INT64_MAX)
+        raise ValueError(
+            f"leaf index {big} out of range [0, {min(params.n, _INT64_MAX + 1)})"
+        ) from None
+    if arr.size == 0:
+        return arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"edges must be (u, v) pairs, got an array of shape {arr.shape}")
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """An immutable sampled graph over the leaves of the tree.
 
-    `adjacency` maps each vertex with at least one neighbor to its sorted
-    neighbor tuple (out-neighbors when directed); vertices without edges
-    are simply absent.  `in_adjacency` is the reverse map for directed
-    graphs (derived, excluded from equality).
+    `csr` holds the sorted out-neighbor lists (all neighbors when
+    undirected).  `in_csr` holds the in-neighbor lists of a directed
+    graph, built on first use, and is `csr` itself for an undirected one.
+    Two graphs are equal when their params, direction, seed and `csr` agree.
     """
 
     params: TreeParams
     directed: bool
     seed: int
-    adjacency: Mapping[int, tuple[int, ...]]
+    csr: Csr = field(repr=False)
     edge_count: int
-    in_adjacency: Mapping[int, tuple[int, ...]] | None = field(default=None, compare=False)
 
     @property
     def n(self) -> int:
         return self.params.n
 
+    @cached_property
+    def in_csr(self) -> Csr:
+        if not self.directed:
+            return self.csr
+        src, dst = self.csr.arcs()
+        return Csr.from_arcs(dst, src, self.n)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (
+            (self.params, self.directed, self.seed) == (other.params, other.directed, other.seed)
+            and all(np.array_equal(a, b) for a, b in zip(self.csr, other.csr))
+        )
+
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency.get(v, ())
+        return tuple(self.csr.row(v).tolist())
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
-        if not self.directed:
-            return self.adjacency.get(v, ())
-        return self.in_adjacency.get(v, ()) if self.in_adjacency else ()
+        return tuple(self.in_csr.row(v).tolist())
 
     def has_edge(self, u: int, v: int) -> bool:
         nb = self.neighbors(u)
         i = bisect_left(nb, v)
         return i < len(nb) and nb[i] == v
 
+    def count_with_in_neighbors(self) -> int:
+        """The number of vertices with at least one in-neighbor (with any
+        neighbor, when undirected)."""
+        return len(self.in_csr.rows)
+
     def arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Fresh int64 arrays (src, dst), one entry per v in neighbors(u):
         each arc once, each undirected edge once in either direction."""
-        sizes = [len(nb) for nb in self.adjacency.values()]
-        src = np.repeat(np.fromiter(self.adjacency, np.int64, len(sizes)), sizes)
-        dst = np.fromiter(chain.from_iterable(self.adjacency.values()), np.int64, len(src))
-        return src, dst
+        return self.csr.arcs()
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges as arrays (u, v): u < v for undirected graphs, in u
+        then v order."""
+        src, dst = self.csr.arcs()
+        if self.directed:
+            return src, dst
+        keep = src < dst
+        return src[keep], dst[keep]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) pairs; u < v for undirected graphs, arcs
         in source order for directed ones."""
-        for u in sorted(self.adjacency):
-            for v in self.adjacency[u]:
-                if self.directed or u < v:
-                    yield u, v
+        u, v = self.edge_arrays()
+        return zip(u.tolist(), v.tolist())
 
     @classmethod
     def from_edges(
         cls,
         params: TreeParams,
-        edges: Iterable[tuple[int, int]],
+        edges: Iterable[tuple[int, int]] | np.ndarray,
         *,
         directed: bool = False,
         seed: int = 0,
     ) -> "Graph":
-        adj: dict[int, list[int]] = {}
-        in_adj: dict[int, list[int]] = {}
-        count = 0
-        for u, v in edges:
-            params.check_leaf(u)
-            params.check_leaf(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            count += 1
-            if directed:
-                adj.setdefault(u, []).append(v)
-                in_adj.setdefault(v, []).append(u)
-            else:
-                adj.setdefault(u, []).append(v)
-                adj.setdefault(v, []).append(u)
-        frozen: dict[int, tuple[int, ...]] = {}
-        for v, nb in adj.items():
-            nb.sort()
-            for a, b in zip(nb, nb[1:]):
-                if a == b:
-                    raise ValueError(f"duplicate edge {v}-{a}")
-            frozen[v] = tuple(nb)
-        frozen_in = None
+        """The graph of `edges`, an (E, 2) integer array or an iterable of
+        (u, v) pairs.  Leaves out of range, self-loops and repeated edges
+        are a ValueError; undirected, (u, v) and (v, u) are the same edge."""
+        arr = _edge_array(params, edges)
+        u, v = arr[:, 0], arr[:, 1]
+        last = min(params.n - 1, _INT64_MAX)
+        # as uint64, a negative leaf wraps to above any leaf count
+        if np.count_nonzero(arr.view(np.uint64) > last) or np.count_nonzero(u == v):
+            bad = (u == v) | (arr.view(np.uint64) > last).any(axis=1)
+            a, b = arr[bad.argmax()].tolist()
+            params.check_leaf(a)
+            params.check_leaf(b)
+            raise ValueError(f"self-loop at vertex {a}")
         if directed:
-            frozen_in = {v: tuple(sorted(nb)) for v, nb in in_adj.items()}
-        return cls(params, directed, seed, frozen, count, frozen_in)
+            csr = Csr.from_arcs(u, v, params.n)
+        else:
+            csr = Csr.from_arcs(np.concatenate((u, v)), np.concatenate((v, u)), params.n)
+        return cls(params, directed, seed, csr, len(arr))
 
 
 def edge_probability(u: int, v: int, params: TreeParams) -> float:
@@ -135,20 +217,23 @@ def expected_edge_count(params: TreeParams) -> float:
     )
 
 
-def _child_pairs(b: int) -> list[tuple[int, int]]:
-    return [(i, k) for i in range(b) for k in range(i + 1, b)]
+@lru_cache(maxsize=None)
+def _child_pairs(b: int) -> np.ndarray:
+    """The child pairs (i, k), i < k < b, of a node, as a read-only
+    (2, C(b, 2)) array in rank order."""
+    return _frozen(np.array([(i, k) for i in range(b) for k in range(i + 1, b)]).T)
 
 
-def _pick_distinct(gen, k: int, population: int) -> list[int]:
-    # partial Fisher-Yates over the implicit array [0, population)
+def _fisher_yates(draws: list[int]) -> list[int]:
+    """The values a partial Fisher-Yates shuffle of [0, population) deals
+    when step i swaps position i with position draws[i] >= i.  A position
+    is read after being written only when a draw repeats, so without a
+    repeated draw the values dealt are the draws themselves."""
     moved: dict[int, int] = {}
     out = []
-    for i in range(k):
-        t = int(gen.integers(i, population))
-        vi = moved.get(i, i)
-        vt = moved.get(t, t)
-        moved[t] = vi
-        out.append(vt)
+    for i, t in enumerate(draws):
+        out.append(moved.get(t, t))
+        moved[t] = moved.get(i, i)
     return out
 
 
@@ -159,34 +244,29 @@ def _sample_blocks(
     j: int,
     block_lo: int,
     block_hi: int,
-    child_pairs: list[tuple[int, int]],
-) -> list[tuple[int, int]]:
+    sampler: SubstreamSampler,
+) -> np.ndarray:
+    """The pairs (arcs) placed in height-j blocks [block_lo, block_hi), in
+    block order, as a (3, k) array of rows: rank within the block, root
+    leaf of the block, and b**(j-1), the leaf count of a child."""
     b = params.b
-    sub = b ** (j - 1)
-    per_set_pairs = math.comb(b, 2) * sub * sub
-    population = 2 * per_set_pairs if directed else per_set_pairs
+    population = math.comb(b, 2) * b ** (2 * (j - 1)) * (2 if directed else 1)
     prob = params.c ** -j
     block_size = b**j
-    sampler = SubstreamSampler()
-    edges: list[tuple[int, int]] = []
+    ranks: list[int] = []
+    roots: list[int] = []
     for i in range(block_lo, block_hi):
         gen = sampler.reset(seed, j, i)
         k = int(gen.binomial(population, prob))
         if k == 0:
             continue
-        root = i * block_size
-        for rank in _pick_distinct(gen, k, population):
-            if directed:
-                rank, flip = divmod(rank, 2)
-            pair_idx, rem = divmod(rank, sub * sub)
-            o1, o2 = divmod(rem, sub)
-            c1, c2 = child_pairs[pair_idx]
-            u = root + c1 * sub + o1
-            v = root + c2 * sub + o2
-            if directed and flip:
-                u, v = v, u
-            edges.append((u, v))
-    return edges
+        roots += [i * block_size] * k
+        if k == 1:  # one scalar call costs less than an array call
+            draws = [int(gen.integers(0, population))]
+        else:  # the same values as the scalar calls gen.integers(t, population)
+            draws = gen.integers(np.arange(k), population).tolist()
+        ranks += draws if len(set(draws)) == k else _fisher_yates(draws)
+    return np.array((ranks, roots, [b ** (j - 1)] * len(ranks)), dtype=np.int64)
 
 
 def sample_graph(
@@ -198,29 +278,43 @@ def sample_graph(
     b, n = params.b, params.n
     # per-block pair populations must fit the binomial sampler's int64 range
     top_population = math.comb(b, 2) * b ** (2 * (params.H - 1)) * (2 if directed else 1)
-    if top_population > 2**63 - 1:
+    if top_population > _INT64_MAX:
         raise ValueError(
             f"height-{params.H} blocks hold {top_population} potential "
             f"{'arcs' if directed else 'pairs'}, beyond the sampler's 64-bit range"
         )
-    child_pairs = _child_pairs(b)
     tasks: list[tuple[int, int, int]] = []
     for j in range(1, params.H + 1):
         blocks = n // b**j
         for lo in range(0, blocks, _BLOCK_CHUNK):
             tasks.append((j, lo, min(lo + _BLOCK_CHUNK, blocks)))
 
-    def run(task: tuple[int, int, int]) -> list[tuple[int, int]]:
+    def run(task: tuple[int, int, int], sampler: SubstreamSampler) -> np.ndarray:
         j, lo, hi = task
-        return _sample_blocks(params, seed, directed, j, lo, hi, child_pairs)
+        return _sample_blocks(params, seed, directed, j, lo, hi, sampler)
 
+    # a SubstreamSampler serves one thread; building one costs about as much
+    # as sampling a few blocks, so a serial run shares one across its tasks
     if threads > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run, tasks))
+            chunks = list(pool.map(lambda t: run(t, SubstreamSampler()), tasks))
     else:
-        chunks = [run(t) for t in tasks]
-    edges = [e for chunk in chunks for e in chunk]
-    return Graph.from_edges(params, edges, directed=directed, seed=seed)
+        sampler = SubstreamSampler()
+        chunks = [run(t, sampler) for t in tasks]
+
+    # rank -> (child pair, offset in the first child, offset in the second),
+    # with the arc direction in the lowest digit when directed
+    rank, root, sub = np.concatenate(chunks, axis=1)
+    del chunks
+    if directed:
+        rank, flip = np.divmod(rank, 2)
+    pair, rem = np.divmod(rank, sub * sub)
+    uv = _child_pairs(b)[:, pair] * sub  # the first leaves of the two children
+    uv += np.divmod(rem, sub)
+    uv += root
+    if directed:
+        uv = np.where(flip, uv[::-1], uv)
+    return Graph.from_edges(params, uv.T, directed=directed, seed=seed)
 
 
 def sample_graph_naive(params: TreeParams, seed: int, *, directed: bool = False) -> Graph:
@@ -260,14 +354,37 @@ def format_real(x: float) -> str:
     return repr(x)
 
 
+def _line_order(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The permutation that sorts the lines f"{u} {v}" as strings.
+
+    A space sorts below every digit, so the lines compare as the pairs
+    (str(u), str(v)) do; and a d-digit string x compares as the pair
+    (x * 10**(D - d), d) does, with D the most digits of any value."""
+    D = len(str(max(u.max(initial=0), v.max(initial=0))))
+    tens = 10 ** np.arange(1, D, dtype=np.int64)  # 10, ..., 10**(D-1)
+    keys = []
+    for x in (u, v):
+        d = tens.searchsorted(x, side="right").astype(np.uint64) + 1
+        keys.append((x.astype(np.uint64) * 10 ** (D - d), d))
+    (pu, du), (pv, dv) = keys
+    return np.lexsort((dv, pv, du, pu))
+
+
 def edge_list_text(g: Graph) -> str:
     p = g.params
     header = (
         f"# cga b={p.b} H={p.H} c={format_real(p.c)} "
         f"seed={g.seed} directed={1 if g.directed else 0}"
     )
-    lines = sorted(f"{u} {v}" for u, v in g.edges())
-    return "\n".join([header, *lines]) + "\n"
+    u, v = g.edge_arrays()
+    order = _line_order(u, v)
+    lines = np.column_stack((u[order], v[order]))
+    # formatted a slice at a time, to bound the Python ints alive at once
+    parts = [header + "\n"]
+    for lo in range(0, len(lines), _LINES_PER_SLICE):
+        flat = lines[lo : lo + _LINES_PER_SLICE].ravel().tolist()
+        parts.append(("%d %d\n" * (len(flat) // 2)) % tuple(flat))
+    return "".join(parts)
 
 
 def write_edge_list(g: Graph, path) -> None:
@@ -290,18 +407,44 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"header missing field {exc}") from exc
     if directed not in (0, 1):
         raise ValueError(f"header field directed must be 0 or 1, got {directed}")
-    edges = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected '<u> <v>', got {line!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if not directed and u >= v:
-            raise ValueError(f"line {lineno}: undirected edges require u < v")
-        edges.append((u, v))
+    body = lines[1:]
+    edges = np.empty((0, 2), np.int64)
+    if any(map(str.strip, body)):
+        # numpy's text reader gets only the characters of integer lines: it
+        # may read an integer through a float, and other text has crashed
+        # the interpreter
+        try:
+            edges = (np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+                     if _BODY_CHARS.fullmatch("\n".join(body)) else None)
+        except (ValueError, OverflowError):
+            edges = None
+    if edges is None or edges.shape[1] != 2 or (
+        not directed and np.count_nonzero(edges[:, 0] >= edges[:, 1])
+    ):
+        raise _body_error(body, directed)
     return Graph.from_edges(params, edges, directed=bool(directed), seed=seed)
+
+
+_BODY_CHARS = re.compile(r"[0-9+\- \t\n]*")
+_LINE = re.compile(r"[ \t]*([+-]?[0-9]+)[ \t]+([+-]?[0-9]+)[ \t]*")
+
+
+def _body_error(body: list[str], directed: int) -> ValueError:
+    """The error of the first bad line of an edge-list body that the array
+    parse rejected; the header is line 1."""
+    for lineno, line in enumerate(body, start=2):
+        if not line.strip(" \t"):
+            continue
+        match = _LINE.fullmatch(line)
+        if match is None:
+            return ValueError(f"line {lineno}: expected '<u> <v>', got {line!r}")
+        u, v = map(int, match.groups())
+        for x in (u, v):
+            if not -_INT64_MAX - 1 <= x <= _INT64_MAX:
+                return ValueError(f"line {lineno}: vertex {x} is beyond the 64-bit range")
+        if not directed and u >= v:
+            return ValueError(f"line {lineno}: undirected edges require u < v")
+    return ValueError("edge list body does not parse as '<u> <v>' lines")
 
 
 def read_edge_list(path) -> Graph:

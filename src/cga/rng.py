@@ -68,16 +68,17 @@ class SubstreamSampler:
     def __init__(self) -> None:
         self._bitgen = np.random.Philox(key=0)
         self.gen = np.random.Generator(self._bitgen)
-        self._template = self._bitgen.state
+        # a fresh generator's state (zero counter, empty output buffer);
+        # only its key changes from one reset to the next
+        self._state = self._bitgen.state
+        self._key = self._state["state"]["key"]
+        self._label = None  # the (seed, a) whose key half k0 is cached
+        self._k0 = 0
 
     def reset(self, seed: int, a: int, b: int) -> np.random.Generator:
-        k0, k1 = substream_key(seed, a, b)
-        st = self._template
-        st["state"]["counter"][:] = 0
-        st["state"]["key"][0] = k1  # numpy stores the low word first
-        st["state"]["key"][1] = k0
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bitgen.state = st
+        if self._label != (seed, a):  # k0, k1 = substream_key(seed, a, b)
+            self._label, self._k0 = (seed, a), splitmix64(seed, a)
+        self._key[0] = splitmix64(seed ^ STREAM_SALT, b)  # numpy stores the low word first
+        self._key[1] = self._k0
+        self._bitgen.state = self._state
         return self.gen

@@ -106,6 +106,14 @@ class TestVerify:
                     "--alpha", "0.5", "--beta", "0.5"])
         assert code == EXIT_USAGE
 
+    def test_vertex_beyond_int64_in_graph_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "g.el"
+        path.write_text("# cga b=2 H=2 c=2 seed=0 directed=0\n99999999999999999999 1\n")
+        code = run(["verify", "--graph", str(path), "--set", "0,1",
+                    "--alpha", "0.5", "--beta", "0.5"])
+        assert code == EXIT_USAGE
+        assert "line 2" in capsys.readouterr().err
+
     def test_malformed_set_exits_2(self, edge_file):
         code = run(["verify", "--graph", edge_file, "--set", "0;1",
                     "--alpha", "0.5", "--beta", "0.5"])

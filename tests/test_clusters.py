@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -299,6 +300,16 @@ class TestCompleteSetScan:
                 complete_set_scan(g, HALF, h, h_star)
         with pytest.raises(ValueError):
             complete_set_scan(sample_graph(P23, 9, directed=True), HALF, 1, 2)
+
+    def test_repeated_scans_leave_the_graph_unchanged(self):
+        for directed in (False, True):
+            g = sample_graph(TreeParams(2, 6, 1.8), 4, directed=directed)
+            spec = ClusterSpec("0.5", "0.5", "directed-out" if directed else "undirected")
+            before = list(g.edges())
+            first = complete_set_scan(g, spec, 2, 3)
+            second = complete_set_scan(g, spec, 2, 3)
+            assert all(np.array_equal(a, b) for a, b in zip(first, second))
+            assert list(g.edges()) == before
 
     def test_refuses_trees_beyond_int32(self):
         g = Graph.from_edges(TreeParams(2, 31, 2.0), [])

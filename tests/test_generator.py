@@ -1,12 +1,17 @@
+import hashlib
 import math
+import re
 from collections import Counter
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cga.generator import (
     Graph,
+    _fisher_yates,
     edge_list_text,
     edge_probability,
     expected_edge_count,
@@ -69,15 +74,16 @@ class TestSampling:
     @settings(max_examples=25, deadline=None)
     def test_adjacency_is_symmetric_and_sorted(self, seed):
         g = sample_graph(P23, seed)
-        for v, nb in g.adjacency.items():
+        for v in range(g.n):
+            nb = g.neighbors(v)
             assert list(nb) == sorted(nb)
             assert v not in nb
             for w in nb:
-                assert v in g.adjacency[w]
+                assert v in g.neighbors(w)
 
     def test_edge_count_matches_adjacency(self):
         g = sample_graph(TreeParams(2, 6, 2.0), 5)
-        assert g.edge_count == sum(len(nb) for nb in g.adjacency.values()) // 2
+        assert g.edge_count == sum(len(g.neighbors(v)) for v in range(g.n)) // 2
         assert g.edge_count == len(list(g.edges()))
 
     def test_rejects_bad_seed(self):
@@ -139,11 +145,11 @@ class TestDirected:
         g = sample_graph(p, 3, directed=True)
         assert g == sample_graph(p, 3, directed=True)
         assert g.directed
-        for v, nb in g.adjacency.items():
-            assert v not in nb
+        for v in range(g.n):
+            assert v not in g.neighbors(v)
         # in/out adjacency describe the same arc set
-        arcs_out = {(u, v) for u in g.adjacency for v in g.adjacency[u]}
-        arcs_in = {(u, v) for v in g.in_adjacency for u in g.in_adjacency[v]}
+        arcs_out = {(u, v) for u in range(g.n) for v in g.neighbors(u)}
+        arcs_in = {(u, v) for v in range(g.n) for u in g.in_neighbors(v)}
         assert arcs_out == arcs_in
         assert g.edge_count == len(arcs_out)
 
@@ -153,8 +159,8 @@ class TestDirected:
         single = mutual = 0
         for s in range(200):
             g = sample_graph(p, s, directed=True)
-            for u in g.adjacency:
-                for v in g.adjacency[u]:
+            for u in range(g.n):
+                for v in g.neighbors(u):
                     if g.has_edge(v, u):
                         mutual += 1
                     else:
@@ -166,13 +172,39 @@ class TestDirected:
         counts = Counter()
         for t in range(trials):
             g = sample_graph(P22, splitmix64(21, t), directed=True)
-            for u in g.adjacency:
-                for v in g.adjacency[u]:
+            for u in range(g.n):
+                for v in g.neighbors(u):
                     counts[(u, v)] += 1
         for (u, v), prob in all_pair_probs(2, 2, 2.0).items():
             se = math.sqrt(prob * (1 - prob) / trials)
             for arc in ((u, v), (v, u)):
                 assert abs(counts[arc] / trials - prob) < 4 * se, arc
+
+
+# Pinned SHA-256 digests of edge_list_text(sample_graph(...)).  They fix the
+# sampler's streams, its placement of edges and the file layout, so any
+# change to them must be deliberate.
+EDGE_LIST_DIGESTS = [
+    ((2, 12, 2.0), False, 12345, "4f222b9b25a9026112864fde8ec86c94911f935c117252ee3d3eb46b37f6981c"),
+    ((2, 12, 2.0), True, 12345, "6f7dbc196b320190a3c4cc496e52e0b3aec58a6f33b505bc30d9e6b73924eb3f"),
+    ((2, 10, 2.5), False, 7, "1d560d9a6472903f9ad7826ce3dc301951ad9b3a547259467e1aaa89125607fd"),
+    ((2, 11, 2.5), True, 8, "3a34bc4d10d02362149b04d3b263ecb71665ef25634e9aad0bd832db38a839dd"),
+    ((3, 7, 2.0), False, 9, "62303be687cc380a3bc3d21ea2e59074f5e5be8a60fd159e248be1ab2879a3b5"),
+    ((3, 7, 2.5), True, 10, "a768d27b9e568b4f5c6e1d30b8e93dce5543168fb94c88d4022c05ca33b2aea2"),
+]
+
+
+class TestEdgeListDigests:
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize(
+        "bhc,directed,seed,digest",
+        EDGE_LIST_DIGESTS,
+        ids=[f"b{b}-H{H}-c{c:g}-{'directed' if d else 'undirected'}"
+             for (b, H, c), d, _, _ in EDGE_LIST_DIGESTS],
+    )
+    def test_pinned_digest(self, bhc, directed, seed, digest, threads):
+        g = sample_graph(TreeParams(*bhc), seed, directed=directed, threads=threads)
+        assert hashlib.sha256(edge_list_text(g).encode()).hexdigest() == digest
 
 
 class TestEdgeListFormat:
@@ -223,6 +255,25 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError):
             parse_edge_list(text)
 
+    def test_vertex_beyond_int64_names_its_line(self):
+        text = "# cga b=2 H=2 c=2 seed=0 directed=0\n0 1\n99999999999999999999 1\n"
+        with pytest.raises(ValueError, match="line 3: vertex 99999999999999999999"):
+            parse_edge_list(text)
+
+    def test_bad_lines_are_named(self):
+        head = "# cga b=2 H=2 c=2 seed=0 directed=0\n0 1\n\n"
+        for body, message in [
+            ("2 1\n", "line 4: undirected edges require u < v"),
+            ("2 3 1\n", "line 4: expected '<u> <v>'"),
+            ("2\n", "line 4: expected '<u> <v>'"),
+            ("2 x\n", "line 4: expected '<u> <v>'"),
+            ("0.9 1\n", "line 4: expected '<u> <v>'"),
+            ("1e1 20\n", "line 4: expected '<u> <v>'"),
+            ("1\x1f2\n", "line 4: expected '<u> <v>'"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                parse_edge_list(head + body)
+
     @settings(max_examples=300, deadline=None)
     @given(
         fields=st.dictionaries(
@@ -256,3 +307,146 @@ class TestGraphConstruction:
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(2, 3)
         assert g.neighbors(3) == ()
+
+
+def _reference(pairs, directed):
+    """Out- and in-neighbor sets built straight from the pairs."""
+    out, inn = {}, {}
+    for u, v in pairs:
+        out.setdefault(u, set()).add(v)
+        inn.setdefault(v, set()).add(u)
+        if not directed:
+            out.setdefault(v, set()).add(u)
+            inn.setdefault(u, set()).add(v)
+    return out, inn
+
+
+def _check_against_reference(g, pairs, directed, vertices):
+    out, inn = _reference(pairs, directed)
+    for u in vertices:
+        assert g.neighbors(u) == tuple(sorted(out.get(u, ())))
+        assert g.in_neighbors(u) == tuple(sorted(inn.get(u, ())))
+        for v in vertices:
+            assert g.has_edge(u, v) == (v in out.get(u, ()))
+    expected = sorted((u, v) for u in out for v in out[u] if directed or u < v)
+    assert list(g.edges()) == expected
+    assert g.edge_count == len(expected)
+    assert g.count_with_in_neighbors() == len(inn)
+
+
+class TestGraphAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), b=st.sampled_from([2, 3]), directed=st.booleans())
+    def test_matches_dict_of_sets(self, data, b, directed):
+        p = TreeParams(b, data.draw(st.integers(1, 3 if b == 2 else 2)), 2.0)
+        slots = list((permutations if directed else combinations)(range(p.n), 2))
+        pairs = data.draw(st.lists(st.sampled_from(slots), unique=True))
+        if not directed:  # an undirected edge may be given either way round
+            flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+            pairs = [(v, u) if f else (u, v) for (u, v), f in zip(pairs, flips)]
+        g = Graph.from_edges(p, pairs, directed=directed)
+        _check_against_reference(g, pairs, directed, range(p.n))
+        array = np.array(pairs[::-1], dtype=np.int64).reshape(-1, 2)
+        assert g == Graph.from_edges(p, array, directed=directed)
+        assert g != Graph.from_edges(p, pairs, directed=directed, seed=1)
+        if not directed:
+            assert g != Graph.from_edges(p, pairs, directed=True)
+        if pairs:
+            assert g != Graph.from_edges(p, pairs[1:], directed=directed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), H=st.sampled_from([26, 40]), directed=st.booleans())
+    def test_large_leaf_counts(self, data, H, directed):
+        # at H = 26 rows sort by one int64 key, at H = 40 by a lexsort; leaf
+        # numbers have up to 8 and up to 13 digits
+        leaf = st.integers(0, 2**H - 1) | st.integers(0, 10**7)
+        pairs = data.draw(st.lists(
+            st.tuples(leaf, leaf).filter(lambda e: e[0] != e[1]),
+            max_size=12,
+            unique_by=lambda e: frozenset(e),
+        ))
+        p = TreeParams(2, H, 2.0)
+        g = Graph.from_edges(p, pairs, directed=directed)
+        touched = sorted({x for e in pairs for x in e} | {0, 2**H - 1})
+        _check_against_reference(g, pairs, directed, touched)
+        text = edge_list_text(g)
+        lines = text.splitlines()[1:]
+        assert lines == sorted(f"{u} {v}" for u, v in g.edges())
+        assert parse_edge_list(text) == g
+
+
+    def test_close_8_digit_leaves_keep_string_order(self):
+        # "49999999" sorts below "5", and u and u + 1 differ in the last digit
+        u = 2**26 - 999
+        pairs = [(u, 5), (u, 49999999), (u, u + 1), (u, 10), (49999999, u), (5, u)]
+        g = Graph.from_edges(TreeParams(2, 26, 2.0), pairs, directed=True)
+        lines = edge_list_text(g).splitlines()[1:]
+        assert lines == sorted(f"{a} {b}" for a, b in pairs)
+
+
+class TestGraphFaults:
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize(
+        "pairs,message",
+        [
+            ([(0, 1), (0, 4)], "leaf index 4 out of range [0, 4)"),
+            ([(0, 1), (-1, 2)], "leaf index -1 out of range [0, 4)"),
+            ([(0, 1), (1, 1)], "self-loop at vertex 1"),
+            ([(0, 1), (2, 3), (0, 1)], "duplicate edge 0-1"),
+        ],
+    )
+    def test_each_fault_has_its_message(self, pairs, message, directed):
+        for edges in (pairs, np.array(pairs)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Graph.from_edges(P22, edges, directed=directed)
+
+    def test_leaf_beyond_int64(self):
+        with pytest.raises(ValueError, match=f"leaf index {2**70} out of range"):
+            Graph.from_edges(P22, [(0, 1), (0, 2**70)])
+
+    def test_undirected_reverse_pair_is_a_duplicate(self):
+        with pytest.raises(ValueError, match="duplicate edge 1-2"):
+            Graph.from_edges(P22, [(2, 1), (1, 2)])
+
+    def test_directed_reverse_arc_is_allowed(self):
+        g = Graph.from_edges(P22, [(2, 1), (1, 2)], directed=True)
+        assert g.edge_count == 2 and g.has_edge(1, 2) and g.has_edge(2, 1)
+
+    def test_rejects_pairs_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match="pairs"):
+            Graph.from_edges(P22, [(0, 1, 2)])
+
+
+class TestGraphStorage:
+    def test_arrays_are_read_only_int64(self):
+        g = sample_graph(P23, 5, directed=True)
+        assert g.edge_count > 0
+        for csr in (g.csr, g.in_csr):
+            for a in csr:
+                assert a.dtype == np.int64
+                with pytest.raises(ValueError):
+                    a[0] = 1
+
+    def test_arc_arrays_are_fresh(self):
+        g = sample_graph(P23, 5)
+        before = list(g.edges())
+        src, dst = g.arc_arrays()
+        src[:] = 0
+        dst[:] = 0
+        assert list(g.edges()) == before
+        assert g == sample_graph(P23, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fisher_yates_matches_an_explicit_shuffle(data):
+    population = data.draw(st.integers(1, 12))
+    draws = [data.draw(st.integers(i, population - 1))
+             for i in range(data.draw(st.integers(1, population)))]
+    deck = list(range(population))
+    for i, t in enumerate(draws):
+        deck[i], deck[t] = deck[t], deck[i]
+    dealt = deck[: len(draws)]
+    assert _fisher_yates(draws) == dealt
+    if len(set(draws)) == len(draws):  # the sampler's shortcut
+        assert dealt == draws
