@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .tree import TreeParams, pairs_at_height
+from .clusters import unit_fraction
+from .tree import TreeParams, check_branching, check_shrink, pairs_at_height
 
 
 class LogValue(NamedTuple):
@@ -47,20 +48,12 @@ class ThresholdConstants:
     epsilon: float
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-    return alpha
+def _check_alpha(alpha) -> float:
+    return float(unit_fraction(alpha, "alpha"))
 
 
 def _check_bc(b: int, c: float) -> tuple[int, float]:
-    if not isinstance(b, int) or b < 2:
-        raise ValueError(f"b must be an integer >= 2, got {b!r}")
-    c = float(c)
-    if not math.isfinite(c) or c <= 1:
-        raise ValueError(f"c must be a finite real > 1, got {c!r}")
-    return b, c
+    return check_branching(b), check_shrink(c)
 
 
 def m_star(alpha, b: int, c: float) -> float:

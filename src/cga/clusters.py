@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, NamedTuple
@@ -51,7 +52,10 @@ def as_fraction(x, name: str = "value") -> Fraction:
     Fraction builds 10**exponent, and a zero denominator is a ValueError;
     `name` labels the value in the error message."""
     if not isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (OverflowError, ValueError) as exc:  # an infinite or NaN float
+            raise ValueError(f"{name} = {x!r} is not finite") from exc
     exponent = _EXPONENT.search(x)
     if exponent and not -_MAX_EXPONENT <= int(exponent.group(1)) <= _MAX_EXPONENT:
         raise ValueError(
@@ -63,6 +67,14 @@ def as_fraction(x, name: str = "value") -> Fraction:
         raise ValueError(f"{name} = {x!r} has a zero denominator") from exc
 
 
+def unit_fraction(x, name: str) -> Fraction:
+    """`as_fraction(x, name)`, when it lies in (0, 1]."""
+    f = as_fraction(x, name)
+    if not 0 < f <= 1:
+        raise ValueError(f"{name} must lie in (0, 1], got {f}")
+    return f
+
+
 @dataclass(frozen=True)
 class ClusterSpec:
     """Density/sparseness parameters and the edge-direction convention."""
@@ -72,12 +84,8 @@ class ClusterSpec:
     mode: Mode = "undirected"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", as_fraction(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", as_fraction(self.beta, "beta"))
-        if not 0 < self.alpha <= 1:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0 < self.beta <= 1:
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
+        object.__setattr__(self, "alpha", unit_fraction(self.alpha, "alpha"))
+        object.__setattr__(self, "beta", unit_fraction(self.beta, "beta"))
         if self.mode not in ("undirected", "directed-out"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -150,12 +158,8 @@ def _incoming_counts(M, g: Graph, mode: Mode, what: str) -> tuple[VertexSet, dic
     M = _as_set(M, g)
     if not M.members:
         raise ValueError(f"{what} the empty set is undefined")
-    counts: dict[int, int] = {}
-    source = g.in_neighbors if (mode == "directed-out" and g.directed) else g.neighbors
-    for m in M.members:
-        for u in source(m):
-            counts[u] = counts.get(u, 0) + 1
-    return M, counts
+    csr = g.in_csr if (mode == "directed-out" and g.directed) else g.csr
+    return M, Counter(csr.gather(M.members))
 
 
 def is_internally_dense(M, g: Graph, spec: ClusterSpec) -> bool:
@@ -305,10 +309,7 @@ def sparse_core(M, g: Graph, fraction, mode: Mode | None = None) -> VertexSet:
     if mode is None:
         mode = "directed-out" if g.directed else "undirected"
     M, counts = _incoming_counts(M, g, mode, "sparse core of")
-    f = as_fraction(fraction, "fraction")
-    if not 0 < f <= 1:
-        raise ValueError(f"fraction must lie in (0, 1], got {fraction!r}")
-    limit = math.floor(f * len(M))
+    limit = math.floor(unit_fraction(fraction, "fraction") * len(M))
     kept = [v for v in M.members if counts.get(v, 0) <= limit]
     return VertexSet.from_leaves(kept, g.params)
 

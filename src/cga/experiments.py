@@ -30,10 +30,10 @@ from typing import Callable, Iterable, Sequence
 from .bounds import expected_internal_edges, m_star, threshold_heights
 from .clusters import (
     ClusterSpec,
-    as_fraction,
     complete_set_scan,
     event_report,
     is_externally_sparse,
+    unit_fraction,
 )
 from .generator import Graph, format_real, sample_graph
 from .oracle import DEFAULT_WORK_BUDGET, WorkBudgetError
@@ -81,8 +81,8 @@ class ExperimentConfig:
     work_budget: int = DEFAULT_WORK_BUDGET
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", as_fraction(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", as_fraction(self.beta, "beta"))
+        object.__setattr__(self, "alpha", unit_fraction(self.alpha, "alpha"))
+        object.__setattr__(self, "beta", unit_fraction(self.beta, "beta"))
         object.__setattr__(self, "heights", tuple(self.heights))
         object.__setattr__(self, "measures", frozenset(self.measures))
         check_seed(self.seed)

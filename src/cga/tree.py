@@ -18,6 +18,21 @@ from typing import Iterable
 _MAX_N = 2**64 - 1
 
 
+def check_branching(b) -> int:
+    """b, when it is an integer >= 2."""
+    if not isinstance(b, int) or b < 2:
+        raise ValueError(f"branching factor b must be an integer >= 2, got {b!r}")
+    return b
+
+
+def check_shrink(c) -> float:
+    """c as a float, when it is a finite real > 1."""
+    value = float(c)
+    if not math.isfinite(value) or value <= 1.0:
+        raise ValueError(f"shrink factor c must be a finite real > 1, got {c!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class TreeParams:
     """Model parameters: branching factor b, tree height H, shrink factor c.
@@ -31,14 +46,10 @@ class TreeParams:
     c: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.b, int) or self.b < 2:
-            raise ValueError(f"branching factor b must be an integer >= 2, got {self.b!r}")
+        check_branching(self.b)
         if not isinstance(self.H, int) or self.H < 1:
             raise ValueError(f"tree height H must be an integer >= 1, got {self.H!r}")
-        c = float(self.c)
-        if not math.isfinite(c) or c <= 1.0:
-            raise ValueError(f"shrink factor c must be a finite real > 1, got {self.c!r}")
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", check_shrink(self.c))
         # b >= 2, so H >= 64 is out of range; testing it first avoids
         # building a huge power from an outsized H
         if self.H >= 64 or self.b ** self.H > _MAX_N:

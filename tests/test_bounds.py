@@ -21,6 +21,7 @@ from cga.bounds import (
     threshold_constants,
     threshold_heights,
 )
+from cga.clusters import ClusterSpec
 from cga.generator import expected_edge_count
 from cga.rng import substream
 from cga.tree import TreeParams
@@ -40,6 +41,24 @@ class TestMStar:
             m_star(0.5, 1, 2.0)
         with pytest.raises(ValueError):
             m_star(0.5, 2, 1.0)
+
+
+    def test_input_rules_are_the_shared_ones(self):
+        # alpha goes through the cluster parser, b and c through TreeParams' checks
+        assert m_star("1/2", 2, 2.0) == m_star(Fraction(1, 2), 2, 2.0) == m_star(0.5, 2, 2.0)
+        for alpha, said in ((0, "got 0"), ("3/2", "got 3/2"), (float("inf"), "not finite"),
+                            (float("nan"), "not finite"), ("1/0", "zero denominator")):
+            with pytest.raises(ValueError, match=f"alpha.*{said}"):
+                m_star(alpha, 2, 2.0)
+            with pytest.raises(ValueError, match=f"alpha.*{said}"):
+                ClusterSpec(alpha, "1/2")
+        with pytest.raises(ValueError, match="branching factor b must be an integer >= 2, got 1"):
+            gamma_constant(0.5, 1, 2.0)
+        for c in (1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="shrink factor c must be a finite real > 1"):
+                m_star(0.5, 2, c)
+            with pytest.raises(ValueError, match="shrink factor c must be a finite real > 1"):
+                TreeParams(2, 3, c)
 
 
 class TestThresholdHeights:

@@ -244,6 +244,7 @@ BAD_CONFIGS = {
     "negative-work-budget": ("seed = 11", "seed = 11\nwork_budget = -1", "work_budget"),
     "unknown-placement": ("seed = 11", "seed = 11\nplacement = middle", "placement"),
     "zero-denominator": ("alpha = 0.5", "alpha = 1/0", "alpha"),
+    "alpha-above-one": ("alpha = 0.5", "alpha = 3/2", "alpha must lie in (0, 1], got 3/2"),
     "huge-exponent": ("beta = 0.5", "beta = 1e-9999999", "beta = '1e-9999999' has an exponent"),
     "h-star-below-scanned-height": ("seed = 11", "seed = 11\nh_star = 1", "h_star 1 outside [2, 4]"),
     "missing-key": ("b = 2\n", "", "missing config keys: ['b']"),

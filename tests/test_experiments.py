@@ -44,7 +44,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg(measures=frozenset({"nope"}))
         for bad in (dict(seed=-1), dict(seed=2**64), dict(candidates=-1),
-                    dict(work_budget=-1), dict(placement="middle")):
+                    dict(work_budget=-1), dict(placement="middle"), dict(alpha="3/2"),
+                    dict(beta=0)):
             with pytest.raises(ValueError):
                 cfg(**bad)
         with pytest.raises(ValueError):

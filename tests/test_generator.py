@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import math
 import re
@@ -10,8 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cga.generator import (
+    _ARRAY_MIN_BLOCKS,
     Graph,
     _fisher_yates,
+    _inversion,
+    _replay_blocks,
+    _sample_blocks,
+    _scalar_block,
     edge_list_text,
     edge_probability,
     expected_edge_count,
@@ -22,7 +28,7 @@ from cga.generator import (
     sample_graph_naive,
     write_edge_list,
 )
-from cga.rng import splitmix64
+from cga.rng import SubstreamSampler, philox4x64, splitmix64, splitmix64_array, substream
 from cga.tree import TreeParams
 from util import all_pair_probs
 
@@ -328,6 +334,9 @@ def _check_against_reference(g, pairs, directed, vertices):
         assert g.in_neighbors(u) == tuple(sorted(inn.get(u, ())))
         for v in vertices:
             assert g.has_edge(u, v) == (v in out.get(u, ()))
+    ascending = sorted(vertices)
+    assert g.csr.gather(ascending) == [v for u in ascending for v in sorted(out.get(u, ()))]
+    assert g.in_csr.gather(ascending) == [v for u in ascending for v in sorted(inn.get(u, ()))]
     expected = sorted((u, v) for u in out for v in out[u] if directed or u < v)
     assert list(g.edges()) == expected
     assert g.edge_count == len(expected)
@@ -382,6 +391,14 @@ class TestGraphAgainstReference:
         g = Graph.from_edges(TreeParams(2, 26, 2.0), pairs, directed=True)
         lines = edge_list_text(g).splitlines()[1:]
         assert lines == sorted(f"{a} {b}" for a, b in pairs)
+
+
+def test_gather_skips_leaves_beyond_int64():
+    p = TreeParams(3, 40, 2.0)  # n = 3**40 > 2**63
+    g = Graph.from_edges(p, [(0, 2), (2, 5)])
+    assert g.csr.gather((0, 1, 2, 2**63, p.n - 1)) == [2, 0, 5]
+    assert g.csr.gather((2**63,)) == g.csr.gather(()) == []
+    assert Graph.from_edges(p, []).csr.gather((0, 1)) == []
 
 
 class TestGraphFaults:
@@ -450,3 +467,181 @@ def test_fisher_yates_matches_an_explicit_shuffle(data):
     assert _fisher_yates(draws) == dealt
     if len(set(draws)) == len(draws):  # the sampler's shortcut
         assert dealt == draws
+
+
+class _CountingSampler(SubstreamSampler):
+    def __init__(self) -> None:
+        super().__init__()
+        self.resets = 0
+
+    def reset(self, seed: int, a: int, b: int):
+        self.resets += 1
+        return super().reset(seed, a, b)
+
+
+def _population(b: int, j: int, directed: bool) -> int:
+    return math.comb(b, 2) * b ** (2 * (j - 1)) * (2 if directed else 1)
+
+
+class TestArrayReplay:
+    """The array path of `_sample_blocks` against the stream's definition:
+    one fresh Generator per block, drawing as `_scalar_block` does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), b=st.sampled_from([2, 3, 4]), directed=st.booleans(),
+           seed=st.integers(0, 2**64 - 1))
+    def test_matches_the_scalar_loop_block_by_block(self, data, b, directed, seed):
+        # c < 2 puts height 1 on numpy's p > 1/2 branch; c = b and c > b
+        # cover the usual classes, and a large c reaches 32-bit populations
+        c = data.draw(st.one_of(st.floats(1.05, 1.95), st.just(float(b)),
+                                st.floats(b + 0.1, 20.0)), label="c")
+        params = TreeParams(b, {2: 24, 3: 15, 4: 12}[b], c)
+        classes = [
+            j for j in range(1, params.H + 1)
+            if params.n // b**j >= _ARRAY_MIN_BLOCKS
+            and _inversion(_population(b, j, directed), c**-j) is not None
+        ]
+        j = data.draw(st.sampled_from(classes), label="j")
+        blocks = params.n // b**j
+        lo = data.draw(st.integers(0, blocks - _ARRAY_MIN_BLOCKS), label="lo")
+        hi = data.draw(st.integers(lo + _ARRAY_MIN_BLOCKS, min(blocks, lo + 1500)), label="hi")
+        self._check_against_the_scalar_loop(params, seed, directed, j, lo, hi)
+
+    def test_inverting_classes_skip_the_generator(self):
+        params = TreeParams(2, 16, 2.0)
+        # numpy inverts while population * p = 2**(j - 2) (twice that for
+        # arcs) is at most 30, and uses BTPE above
+        for directed, top in ((False, 6), (True, 5)):
+            for j in range(1, top + 1):
+                blocks = min(params.n // 2**j, 3000)
+                assert self._check_against_the_scalar_loop(params, 5, directed, j, 0, blocks) == 0
+
+    def test_blocks_the_generator_draws_keep_their_place(self):
+        # populations near 2**32 make Lemire rejections common, so about one
+        # block in six goes to the Generator
+        params = TreeParams(4, 12, 16.0)
+        resets = self._check_against_the_scalar_loop(params, 99, True, 8, 37, 256)
+        assert 0 < resets < 219
+
+    @staticmethod
+    def _check_against_the_scalar_loop(params, seed, directed, j, lo, hi) -> int:
+        """Check `_sample_blocks` over blocks [lo, hi) of class j against one
+        fresh Generator per block; returns the resets it made."""
+        b = params.b
+        sampler = _CountingSampler()
+        got = _sample_blocks(params, seed, directed, j, lo, hi, sampler)
+        population, prob = _population(b, j, directed), params.c**-j
+        assert set(got[2].tolist()) <= {b ** (j - 1)}
+        ranks, roots = got[0].tolist(), got[1].tolist()
+        assert roots == sorted(roots)
+        placed = 0
+        for i in range(lo, hi):
+            want = _scalar_block(substream(seed, j, i), population, prob)
+            first = bisect.bisect_left(roots, i * b**j)
+            assert roots[first : first + len(want) + 1].count(i * b**j) == len(want), i
+            assert ranks[first : first + len(want)] == want, i
+            placed += len(want)
+        assert placed == len(ranks)
+        return sampler.resets
+
+    @pytest.mark.parametrize("threads", [2, 8])
+    def test_thread_count_does_not_change_replayed_graphs(self, threads):
+        # H = 15: height 1 spans two tasks of replayed blocks
+        for directed in (False, True):
+            p = TreeParams(2, 15, 2.0)
+            assert (sample_graph(p, 77, directed=directed, threads=threads)
+                    == sample_graph(p, 77, directed=directed))
+
+    def test_philox_words_match_numpy(self):
+        gen = np.random.default_rng(2024)
+        keys = gen.integers(0, 2**64, (40, 2), dtype=np.uint64).tolist() + [
+            [0, 0], [2**64 - 1, 2**64 - 1], [1, 2**64 - 1]]
+        for k0, k1 in keys:
+            want = np.random.Philox(key=(k1 << 64) | k0).random_raw(24)
+            assert np.array_equal(philox4x64(np.arange(1, 7), k0, k1).ravel(), want)
+        # one row per key, as the sampler calls it
+        k0s = np.array([k0 for k0, _ in keys], dtype=np.uint64)
+        got = philox4x64(np.full(len(keys), 3), k0s, 77)
+        for row, k0 in zip(got, k0s.tolist()):
+            assert np.array_equal(row, np.random.Philox(key=(77 << 64) | k0).random_raw(12)[8:])
+
+    def test_splitmix64_array_matches_the_scalar_function(self):
+        index = np.array([0, 1, 2, 12345, 2**40, 2**63 - 1])
+        for seed in (0, 1, 2**64 - 1, 0x5851F42D4C957F2D):
+            assert splitmix64_array(seed, index).tolist() == [splitmix64(seed, int(i)) for i in index]
+
+
+def _uniform_word(u: float) -> int:
+    """A Philox word whose binomial uniform (word >> 11) * 2**-53 is the
+    first one at or above u."""
+    return math.ceil(u * 2**53) << 11
+
+
+def _crafted(blocks: dict[tuple[int, int], list[int]]):
+    """A `words` function serving the given Philox blocks, keyed by (row,
+    counter); any other block is all zeros."""
+    def words(rows, counters):
+        return np.array([blocks.get((r, c), [0, 0, 0, 0])
+                         for r, c in zip(rows.tolist(), counters.tolist())],
+                        dtype=np.uint64).reshape(-1, 4)
+    return words
+
+
+class TestCraftedWords:
+    """Words that steer `_replay_blocks` down each of its rare routes."""
+
+    def test_inversion_restart_goes_to_the_generator(self):
+        # Bin(64, 1/64): bound = 15 < 64 and P(X > 15) is about 1.8e-14, so
+        # the largest uniform runs past the bound and numpy would restart
+        inv = _inversion(64, 1 / 64)
+        assert len(inv.px) - 1 == 15 and sum(inv.px) < 1 - 2**-50
+        top = (2**53 - 1) << 11
+        below = _uniform_word(inv.px[0] + inv.px[1] / 2)  # X = 1
+        counts, ranks, to_generator = _replay_blocks(
+            inv, 64, 3, _crafted({(0, 1): [below, 5 << 32, 0, 0], (1, 1): [top, 0, 0, 0]}))
+        assert to_generator.nonzero()[0].tolist() == [1]
+        assert counts.tolist() == [1, 0, 0]
+        assert ranks.tolist() == [(5 * 64) >> 32]
+
+    def test_lemire_rejection_goes_to_the_generator(self):
+        # span 3: 2**32 % 3 = 1, so a half-word of 0 leaves 0 < 1 and is rejected
+        inv = _inversion(3, 0.3)
+        one = _uniform_word(inv.px[0] + inv.px[1] / 2)  # X = 1
+        accepted = 2**32 // 3 + 1  # leftover 3 * accepted - 2**32 = 2 >= 1
+        counts, ranks, to_generator = _replay_blocks(
+            inv, 3, 2, _crafted({(0, 1): [one, 0, 0, 0], (1, 1): [one, accepted, 0, 0]}))
+        assert to_generator.nonzero()[0].tolist() == [0]
+        assert counts.tolist() == [0, 1]
+        assert ranks.tolist() == [1]  # (accepted * 3) >> 32
+
+    def test_last_draw_over_the_whole_population_reads_no_half_word(self):
+        # p > 1/2: numpy inverts Bin(2, 1 - p), and U = 0 gives X = 0, so k = 2
+        inv = _inversion(2, 0.9)
+        assert inv.flip
+        for half, dealt in ((0, [0, 1]), (2**31, [1, 0])):
+            # the high half only feeds the last draw, of span 1, which
+            # reads nothing; 2**31 makes both draws 1, a repeat
+            for high in (0, 2**32 - 1):
+                word = (high << 32) | half
+                counts, ranks, to_generator = _replay_blocks(inv, 2, 1, _crafted({(0, 1): [0, word, 0, 0]}))
+                assert (counts.tolist(), ranks.tolist(), to_generator.any()) == ([2], dealt, False)
+
+    def test_repeated_draw_replays_the_shuffle(self):
+        inv = _inversion(4, 0.25)
+        two = _uniform_word(inv.px[0] + inv.px[1] + inv.px[2] / 2)  # X = 2
+        # draw 0: (2**31 * 4) >> 32 = 2; draw 1: 1 + (2**31 * 3) >> 32 = 2
+        word = (2**31 << 32) | 2**31
+        counts, ranks, to_generator = _replay_blocks(inv, 4, 2, _crafted({(1, 1): [two, word, 0, 0]}))
+        assert counts.tolist() == [0, 2] and not to_generator.any()
+        assert ranks.tolist() == _fisher_yates([2, 2]) == [2, 0]
+
+    def test_a_block_of_many_draws_reads_later_philox_blocks(self):
+        # 9 draws need words 1 .. 5: counter 1 holds words 0-3, counter 2 the rest
+        inv = _inversion(1024, 1 / 64)
+        nine = _uniform_word(sum(inv.px[:9]) + inv.px[9] / 2)
+        halves = [(t + 1) << 28 for t in range(10)]
+        words = [(hi << 32) | lo for lo, hi in zip(halves[::2], halves[1::2])]
+        counts, ranks, to_generator = _replay_blocks(
+            inv, 1024, 1, _crafted({(0, 1): [nine] + words[:3], (0, 2): words[3:] + [0, 0]}))
+        assert counts.tolist() == [9] and not to_generator.any()
+        assert ranks.tolist() == [t + ((halves[t] * (1024 - t)) >> 32) for t in range(9)]
