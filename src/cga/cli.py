@@ -56,14 +56,29 @@ def _echo_config(out, pairs) -> None:
         print(f"# {key}={val}", file=out)
 
 
+def _at_least(least: int):
+    """An argparse type: an integer of at least `least`."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    return integer
+
+
 def _work_budget() -> int:
     raw = os.environ.get("CGA_WORK_BUDGET")
     if raw is None:
         return DEFAULT_WORK_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError as exc:
         raise ValueError(f"CGA_WORK_BUDGET must be an integer, got {raw!r}") from exc
+    if budget < 0:
+        raise ValueError(f"CGA_WORK_BUDGET must be >= 0, got {budget}")
+    return budget
 
 
 def _parse_set(text: str, params: TreeParams) -> VertexSet:
@@ -358,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--directed", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_at_least(1), default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -384,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--max-size", type=int, required=True, dest="max_size")
-    p.add_argument("--budget", type=int, default=None, help="work budget override")
+    p.add_argument("--budget", type=_at_least(0), default=None, help="work budget override")
     p.add_argument("--mode", choices=["undirected", "directed-out"], default=None)
     p.set_defaults(func=cmd_oracle)
 
@@ -408,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["sweep", "events", "trend", "xs"])
     p.add_argument("--config", required=True, help="plain-text key=value config file")
     p.add_argument("--out", default=None, help="output CSV path (stdout when omitted)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_at_least(1), default=1)
     p.set_defaults(func=cmd_experiment)
 
     return parser

@@ -6,17 +6,15 @@ per pair, one for each arc direction.
 
 The sampler never touches the n**2 pair space.  Pairs are grouped by
 (height class j, complete height-j block): one block holds C(b,2) *
-b**(2*(j-1)) pairs, all with the same probability c**(-j).  Per block the
-sampler draws the edge count from a binomial (numpy's exact
-inversion/BTPE implementation) on a dedicated Philox substream labelled
-(j, block), then places that many distinct pairs uniformly via a partial
-Fisher-Yates over an implicit rank <-> pair bijection.  Work is therefore
-proportional to the number of blocks plus the number of edges produced,
-and the output for a given (params, seed, directed) is bit-identical no
-matter how blocks are scheduled across threads.  Where numpy's binomial
-inverts, the sampler computes those same draws for thousands of blocks
-at once from their Philox words (`_replay_blocks`) and leaves to the
-Generator only the blocks that array arithmetic cannot follow.
+b**(2*(j-1)) pairs, all with the same probability c**(-j).  The blocks of
+a class are cut into chunks of _BLOCK_CHUNK, and each chunk has its own
+Philox substream labelled (j, chunk).  On it the sampler draws every
+block's edge count from a binomial (numpy's exact inversion/BTPE
+implementation), then places that many distinct pairs per block uniformly
+via a partial Fisher-Yates over an implicit rank <-> pair bijection.  Work
+is therefore proportional to the number of blocks plus the number of
+edges produced, and the output for a given (params, seed, directed) is
+bit-identical no matter how chunks are scheduled across threads.
 """
 
 from __future__ import annotations
@@ -27,23 +25,14 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .rng import (
-    STREAM_SALT,
-    SubstreamSampler,
-    check_seed,
-    philox4x64,
-    splitmix64,
-    splitmix64_array,
-    substream,
-)
+from .rng import SubstreamSampler, check_seed, substream
 from .tree import TreeParams, pair_height
 
-_BLOCK_CHUNK = 8192  # blocks per worker task
-_ARRAY_MIN_BLOCKS = 64  # fewer blocks in a task are drawn on the Generator alone
+_BLOCK_CHUNK = 8192  # blocks per worker task and per stream; part of the layout
 _INT64_MAX = 2**63 - 1
 _LINES_PER_SLICE = 2**14  # edge-list lines formatted per step
 
@@ -266,117 +255,6 @@ def _fisher_yates(draws: list[int]) -> list[int]:
     return out
 
 
-class _Inversion(NamedTuple):
-    """numpy's binomial inversion for one (population, p): Generator.binomial
-    takes a uniform U and counts the steps x = 0, 1, ... for which U > px[x],
-    subtracting px[x] from U at each; the count is X, or population - X
-    when flip.  A count beyond len(px) - 1 restarts on a fresh U."""
-
-    flip: bool
-    px: tuple[float, ...]
-
-
-@lru_cache(maxsize=256)
-def _inversion(population: int, prob: float) -> _Inversion | None:
-    """The inversion numpy's Generator.binomial(population, prob) runs, its
-    constants computed with numpy's operations in numpy's order; None when
-    numpy takes its BTPE branch instead, or when a placement draw
-    gen.integers(t, population) needs more than one 32-bit half-word."""
-    if population - 1 >= 2**32 - 1:
-        return None
-    flip = prob > 0.5
-    p = 1.0 - prob if flip else prob
-    if p * population > 30.0:
-        return None
-    q = 1.0 - p
-    px = [math.exp(population * math.log(q))]
-    mean = population * p
-    for x in range(1, int(min(population, mean + 10.0 * math.sqrt(mean * q + 1))) + 1):
-        px.append(((population - x + 1) * p * px[-1]) / (x * q))
-    return _Inversion(flip, tuple(px))
-
-
-def _scalar_block(gen: np.random.Generator, population: int, prob: float) -> list[int]:
-    """The ranks placed in one block, drawn from its stream `gen`: the
-    binomial count k, then the k draws gen.integers(t, population), t < k,
-    dealt by a partial Fisher-Yates shuffle."""
-    k = int(gen.binomial(population, prob))
-    if k == 0:
-        return []
-    if k == 1:  # one scalar call costs less than an array call
-        draws = [int(gen.integers(0, population))]
-    else:  # the same values as the scalar calls gen.integers(t, population)
-        draws = gen.integers(np.arange(k), population).tolist()
-    return draws if len(set(draws)) == k else _fisher_yates(draws)
-
-
-def _replay_blocks(
-    inv: _Inversion, population: int, m: int, words: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What `_scalar_block` draws from each of m block streams, computed
-    with array arithmetic from the streams' Philox words.  `words(rows,
-    counters)` returns the (len(rows), 4) Philox blocks `counters` (1, 2,
-    ...) of the streams `rows`.
-
-    Word 0 of a stream gives the binomial's uniform; the placement draws
-    then take the 32-bit halves of words 1, 2, ..., low half first, each
-    by Lemire's method.  Returns (counts, ranks, to_generator): the count
-    per block, the dealt ranks of the blocks in block order, and a mask
-    of the blocks whose inversion restarts or whose Lemire draw would
-    reject, which only the Generator follows (their counts read 0 and
-    their ranks are left out)."""
-    rows = np.arange(m)
-    table = words(rows, np.ones(m, np.uint64))
-    u = (table[:, 0] >> 11).astype(np.float64) * 2.0**-53
-    x = np.zeros(m, np.int64)
-    going = rows
-    for step, px in enumerate(inv.px):
-        keep = u > px
-        going, u = going[keep], u[keep] - px
-        if not len(going):
-            break
-        x[going] = step + 1
-    counts = population - x if inv.flip else x
-    counts[going] = 0  # restarted: past the last px
-    # the draws in block order, t counting within each block; a block of
-    # k draws reads words 1 .. ceil(k / 2), four words per Philox block
-    starts = np.cumsum(counts) - counts
-    owner = np.repeat(rows, counts)
-    t = np.arange(len(owner)) - starts[owner]
-    more = (counts + 1) // 8  # Philox blocks past the first
-    more_starts = np.cumsum(more) - more
-    later = np.repeat(rows, more)
-    if len(later):
-        table = np.concatenate(
-            (table, words(later, np.arange(len(later)) - more_starts[later] + 2))
-        )
-    word = t // 2 + 1
-    block = word // 4
-    w = table[np.where(block == 0, owner, m + more_starts[owner] + block - 1), word % 4]
-    half = np.where(t & 1, w >> 32, w & 0xFFFFFFFF)
-    # draw t is uniform on [t, population): Lemire's product of a half-word
-    # and the span; the last draw, when k = population, has span 1 and
-    # numpy reads no half-word for it, but the product gives t all the same
-    span = (population - t).astype(np.uint64)
-    product = half * span
-    draws = (product >> 32).astype(np.int64) + t
-    to_generator = np.zeros(m, bool)
-    to_generator[going] = True
-    to_generator[owner[(product & 0xFFFFFFFF) < np.uint64(2**32) % span]] = True  # rejected
-    # a repeated draw needs the shuffle replayed (see _fisher_yates)
-    keys = owner * population + draws
-    keys.sort()
-    repeats = np.zeros(m, bool)
-    repeats[keys[1:][keys[1:] == keys[:-1]] // population] = True
-    for i in repeats.nonzero()[0].tolist():
-        lo = starts[i]
-        draws[lo : lo + counts[i]] = _fisher_yates(draws[lo : lo + counts[i]].tolist())
-    if to_generator.any():
-        draws = draws[~to_generator[owner]]
-        counts[to_generator] = 0
-    return counts, draws, to_generator
-
-
 def _sample_blocks(
     params: TreeParams,
     seed: int,
@@ -390,41 +268,34 @@ def _sample_blocks(
     block order, as a (3, k) array of rows: rank within the block, root
     leaf of the block, and b**(j-1), the leaf count of a child.
 
-    Block i's ranks are those `_scalar_block` draws from stream (j, i).
-    Where numpy's binomial inverts, `_replay_blocks` computes them for the
-    whole range from the Philox words, and the Generator draws only the
-    blocks it cannot follow; a range of few blocks costs less on the
-    Generator alone."""
+    The blocks are one task: block_lo starts a chunk of _BLOCK_CHUNK
+    blocks and the range stays within it.  The chunk's stream (j, chunk)
+    draws the binomial counts of all its blocks in one call, then the
+    placement draws gen.integers(t, population) of every block in block
+    order, t counting within each block, in one more; a partial
+    Fisher-Yates shuffle deals each block's draws."""
     b = params.b
     population = math.comb(b, 2) * b ** (2 * (j - 1)) * (2 if directed else 1)
-    prob = params.c ** -j
-    m = block_hi - block_lo
-    inv = _inversion(population, prob) if m >= _ARRAY_MIN_BLOCKS else None
-    if inv is None:
-        ranks: list[int] = []
-        roots: list[int] = []
-        for i in range(block_lo, block_hi):
-            drawn = _scalar_block(sampler.reset(seed, j, i), population, prob)
-            ranks += drawn
-            roots += [i * b**j] * len(drawn)
-        return np.array((ranks, roots, [b ** (j - 1)] * len(ranks)), dtype=np.int64)
-    key0 = splitmix64_array(seed ^ STREAM_SALT, np.arange(block_lo, block_hi))
-    key1 = splitmix64(seed, j)
-    counts, ranks, to_generator = _replay_blocks(
-        inv, population, m, lambda rows, ctr: philox4x64(ctr, key0[rows], key1)
-    )
-    if to_generator.any():
-        redo = to_generator.nonzero()[0]
-        drawn = [_scalar_block(sampler.reset(seed, j, block_lo + i), population, prob)
-                 for i in redo.tolist()]
-        counts[redo] = [len(d) for d in drawn]
-        by_generator = np.repeat(to_generator, counts)
-        merged = np.empty(len(by_generator), np.int64)
-        merged[by_generator] = [r for d in drawn for r in d]
-        merged[~by_generator] = ranks
-        ranks = merged
-    roots = np.repeat(np.arange(block_lo, block_hi) * b**j, counts)
-    return np.stack((ranks, roots, np.full(len(ranks), b ** (j - 1))))
+    gen = sampler.reset(seed, j, block_lo // _BLOCK_CHUNK)
+    counts = gen.binomial(population, params.c ** -j, size=block_hi - block_lo)
+    owner = np.arange(block_lo, block_hi).repeat(counts)  # the block of each draw
+    if counts.max() < 2:  # each draw is the first of its block: t = 0, no repeats
+        draws = gen.integers(0, population, size=len(owner))
+    else:
+        starts = counts.cumsum() - counts
+        draws = gen.integers(np.arange(len(owner)) - starts.repeat(counts), population)
+        # a repeated draw needs the shuffle replayed (see _fisher_yates); a
+        # key stays below the class's pair count, at most the top population
+        keys = owner * population + draws
+        keys.sort()
+        for i in set((keys[1:][keys[1:] == keys[:-1]] // population).tolist()):
+            lo, hi = starts[i - block_lo], starts[i - block_lo] + counts[i - block_lo]
+            draws[lo:hi] = _fisher_yates(draws[lo:hi].tolist())
+    out = np.empty((3, len(draws)), np.int64)
+    out[0] = draws
+    np.multiply(owner, b**j, out=out[1])
+    out[2] = b ** (j - 1)
+    return out
 
 
 def sample_graph(
@@ -434,7 +305,8 @@ def sample_graph(
     bit-identical Graph, for any thread count."""
     check_seed(seed)
     b, n = params.b, params.n
-    # per-block pair populations must fit the binomial sampler's int64 range
+    # per-block pair populations must fit the binomial sampler's int64 range,
+    # and so must a chunk's keys for finding repeated draws
     top_population = math.comb(b, 2) * b ** (2 * (params.H - 1)) * (2 if directed else 1)
     if top_population > _INT64_MAX:
         raise ValueError(

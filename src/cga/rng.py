@@ -15,14 +15,12 @@ through two published constructions:
   only on its key — generation order and thread assignment cannot change
   the bytes produced.
 
-`splitmix64_array` and `philox4x64` compute the same words for arrays of
-indices, keys and counters at once (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC 2011), in uint64 arithmetic that wraps
-as the 64-bit words of the constructions do.
-
-Stream labels used by this package: the graph sampler owns ``(j, i)`` with
-height class j >= 1 and block index i; label class 0 is reserved for
-auxiliary draws (the reference per-pair sampler, candidate-set sampling).
+Stream labels used by this package: the graph sampler owns ``(j, k)``
+with height class j >= 1 and chunk index k, one stream for the height-j
+blocks [k * C, (k + 1) * C) with C = ``generator._BLOCK_CHUNK`` (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011); label class
+0 is reserved for auxiliary draws (the reference per-pair sampler,
+candidate-set sampling).
 """
 
 from __future__ import annotations
@@ -50,54 +48,6 @@ def splitmix64(seed: int, index: int = 0) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
-
-
-def splitmix64_array(seed: int, index: np.ndarray) -> np.ndarray:
-    """splitmix64(seed, i) for every i of a non-negative integer array, as uint64."""
-    z = index.astype(np.uint64) + np.uint64(1)
-    z *= np.uint64(_GOLDEN_GAMMA)
-    z += np.uint64(seed)
-    z ^= z >> 30
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> 27
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> 31
-    return z
-
-
-_LOW32 = np.uint64(0xFFFFFFFF)
-# Philox4x64's round multipliers (split into 32-bit halves) and key bumps,
-# as columns that act on the stacked words (ctr0, ctr2) and keys (key0, key1)
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_M_LO = np.array([[m & 0xFFFFFFFF] for m in _PHILOX_M[:, 0].tolist()], dtype=np.uint64)
-_PHILOX_M_HI = np.array([[m >> 32] for m in _PHILOX_M[:, 0].tolist()], dtype=np.uint64)
-_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-
-
-def philox4x64(counter: np.ndarray, key0, key1) -> np.ndarray:
-    """Philox4x64-10 blocks for arrays of keys and counters: row i of the
-    (len(counter), 4) uint64 result holds the four words that numpy's
-    Philox with key words (key0[i], key1[i]), low word first as numpy
-    stores them, outputs at counter (counter[i], 0, 0, 0).  Such a Philox
-    takes its first four outputs from counter 1.  Either key word may be
-    one int for all rows."""
-    c0 = np.asarray(counter, dtype=np.uint64)
-    key = np.stack(np.broadcast_arrays(
-        np.asarray(key0, dtype=np.uint64), np.asarray(key1, dtype=np.uint64), c0)[:2])
-    even = np.stack((c0, np.zeros_like(c0)))  # counter words 0 and 2
-    odd = np.zeros_like(even)  # counter words 1 and 3
-    for r in range(10):
-        if r:
-            key = key + _PHILOX_W
-        # the 128-bit products M * even from 32-bit halves; no partial
-        # product or sum overflows 64 bits
-        x_lo, x_hi = even & _LOW32, even >> 32
-        lo_lo = x_lo * _PHILOX_M_LO
-        mid = x_hi * _PHILOX_M_LO + (lo_lo >> 32)
-        mid2 = x_lo * _PHILOX_M_HI + (mid & _LOW32)
-        hi = x_hi * _PHILOX_M_HI + (mid >> 32) + (mid2 >> 32)
-        even, odd = hi[::-1] ^ odd ^ key, (even * _PHILOX_M)[::-1]
-    return np.stack((even[0], odd[0], even[1], odd[1]), axis=1)
 
 
 def substream_key(seed: int, a: int, b: int) -> tuple[int, int]:

@@ -1,5 +1,7 @@
 import hashlib
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -75,6 +77,16 @@ class TestGenerate:
              "--seed", "42", "--out", str(out)])
         loaded = read_edge_list(out)
         assert loaded == sample_graph(TreeParams(2, 5, 2.0), 42)
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_count_below_one_exits_2(self, tmp_path, capsys, threads):
+        out = tmp_path / "g.el"
+        with pytest.raises(SystemExit) as exc:
+            run(["generate", "--b", "2", "--height", "3", "--c", "2",
+                 "--seed", "1", "--out", str(out), "--threads", threads])
+        assert exc.value.code == EXIT_USAGE
+        assert f"--threads: must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerify:
@@ -173,6 +185,26 @@ class TestEnumerateAndOracle:
                     "--beta", "0.5", "--max-size", "5"])
         assert code == EXIT_BUDGET
 
+    def test_negative_budget_flag_exits_2(self, edge_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["oracle", "--graph", edge_file, "--alpha", "0.5", "--beta", "0.5",
+                 "--max-size", "2", "--budget", "-1"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--budget: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_negative_budget_env_exits_2(self, edge_file, monkeypatch, capsys):
+        monkeypatch.setenv("CGA_WORK_BUDGET", "-5")
+        assert run(["oracle", "--graph", edge_file, "--alpha", "0.5", "--beta", "0.5",
+                    "--max-size", "2"]) == EXIT_USAGE
+        assert "CGA_WORK_BUDGET must be >= 0, got -5" in capsys.readouterr().err
+
+    def test_zero_budget_is_a_budget(self, edge_file, monkeypatch):
+        assert run(["oracle", "--graph", edge_file, "--alpha", "0.5", "--beta", "0.5",
+                    "--max-size", "2", "--budget", "0"]) == EXIT_BUDGET
+        monkeypatch.setenv("CGA_WORK_BUDGET", "0")
+        assert run(["oracle", "--graph", edge_file, "--alpha", "0.5", "--beta", "0.5",
+                    "--max-size", "2"]) == EXIT_BUDGET
+
 
 class TestBounds:
     def test_prints_m_star(self, capsys):
@@ -221,17 +253,17 @@ heights = 0,1,2
 GOLDEN_RUNS = [
     ("sweep", "b=2\nc=2\nh_from=4\nh_to=5\ntrials=4\nseed=11\nheights=0,1,2\n"
      "measures=cliques,dense,clusters,events,xs,edges\n",
-     "be54b4335e41db92105a23550b99ba7941ec1801739a834887cadbc0c96ec362"),
+     "2381c281c2ee2b17c4906f7e6fb8dffdc7dd655c6d1fc068c70f71b5466bbcb5"),
     ("events", "b=2\nc=2\nh_from=5\nh_to=6\ntrials=6\nseed=501\nset_height=1\n"
      "set_size=2\nh_star=3\n",
-     "92705ce0af081297533b83f74719e974426f839c32bcd3712df257e00a45d794"),
+     "8aa2b12bfbba0d9371b2e99df253be5a87c5124a4eeffa6de414ec8de536954c"),
     ("trend", "b=2\nc=1.5\nh_from=3\nh_to=5\nalpha=0.3\ntrials=4\nseed=606\n"
      "candidates=20\n",
-     "d64760745afd8580bbcf5065782cc49f048d210d6477404cdd0452e71c784d90"),
+     "72cd48a3d346622fd629dcadeeaf3fcb8fe2cfe04144ef2331722c4995ca1d38"),
     ("xs", "b=2\nc=2\nh_from=4\nh_to=6\ntrials=5\nseed=13\nset_height=2\n",
-     "74a144f08c0c5fff49d5f25741e9f3c5f9669ca2bfd589104fbf2dfe2332ebc7"),
+     "c57bf2bec0b0da26e5c67decd2a253a6942b81c1adba30ecc24e091c9269c680"),
     ("sweep", "b=2\nc=2\nh_from=4\nh_to=5\ntrials=3\nseed=11\nheights=1\ndirected=1\n",
-     "0c0c6893c135434f3e37e05147f9ca8433d7c8e6e393f46d0f39dfe3b8402fca"),
+     "2378d72f0a89bb012e79f4eeba3e32962b09804dec9c5a1d37137c4245f8c10d"),
 ]
 GOLDEN_IDS = ["sweep", "events", "trend", "xs", "sweep-directed"]
 
@@ -277,6 +309,17 @@ class TestExperimentCommand:
                         "--out", str(out), "--threads", str(t)]) == EXIT_OK
             outputs.add(out.read_bytes())
         assert len(outputs) == 1
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_count_below_one_exits_2(self, tmp_path, capsys, threads):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SWEEP_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            run(["experiment", "sweep", "--config", str(cfg_path), "--threads", threads])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"--threads: must be >= 1, got {threads}" in captured.err
+        assert captured.out == ""
 
     def test_trend_and_xs_kinds(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -351,6 +394,40 @@ class TestExperimentCommand:
         assert cfg.heights == (0, 1, 2)
         assert cfg.measures == frozenset({"cliques", "xs"})
         assert cfg.directed is True
+
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    """The modules loaded after running `code` in a fresh interpreter that
+    imports cga from this checkout."""
+    script = f"import sys\n{code}\nimport cga\nprint(cga.__file__)\nprint(*sys.modules, sep='\\n')"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    where, *modules = done.stdout.splitlines()
+    assert Path(where).resolve().is_relative_to(SRC_DIR)
+    return set(modules)
+
+
+class TestImportHygiene:
+    """numpy.random and numpy.ma cost start-up time and resident memory, so
+    the CLI loads neither before it needs them, and sampling never loads
+    numpy.ma."""
+
+    def test_importing_the_cli_loads_neither(self):
+        loaded = _modules_loaded_by("import cga.cli")
+        assert "numpy" in loaded
+        assert not {"numpy.random", "numpy.ma"} & loaded
+
+    def test_sampling_does_not_load_numpy_ma(self):
+        loaded = _modules_loaded_by(
+            "from cga.generator import sample_graph\nfrom cga.tree import TreeParams\n"
+            "assert sample_graph(TreeParams(2, 16, 2.0), 1).edge_count > 0")
+        assert "numpy.random" in loaded
+        assert "numpy.ma" not in loaded
 
 
 def test_shipped_configs_load_and_name_a_kind():

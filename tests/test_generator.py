@@ -1,23 +1,20 @@
-import bisect
 import hashlib
 import math
 import re
 from collections import Counter
 from itertools import combinations, permutations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cga import generator
 from cga.generator import (
-    _ARRAY_MIN_BLOCKS,
     Graph,
     _fisher_yates,
-    _inversion,
-    _replay_blocks,
     _sample_blocks,
-    _scalar_block,
     edge_list_text,
     edge_probability,
     expected_edge_count,
@@ -28,7 +25,7 @@ from cga.generator import (
     sample_graph_naive,
     write_edge_list,
 )
-from cga.rng import SubstreamSampler, philox4x64, splitmix64, splitmix64_array, substream
+from cga.rng import SubstreamSampler, splitmix64, substream
 from cga.tree import TreeParams
 from util import all_pair_probs
 
@@ -191,12 +188,12 @@ class TestDirected:
 # sampler's streams, its placement of edges and the file layout, so any
 # change to them must be deliberate.
 EDGE_LIST_DIGESTS = [
-    ((2, 12, 2.0), False, 12345, "4f222b9b25a9026112864fde8ec86c94911f935c117252ee3d3eb46b37f6981c"),
-    ((2, 12, 2.0), True, 12345, "6f7dbc196b320190a3c4cc496e52e0b3aec58a6f33b505bc30d9e6b73924eb3f"),
-    ((2, 10, 2.5), False, 7, "1d560d9a6472903f9ad7826ce3dc301951ad9b3a547259467e1aaa89125607fd"),
-    ((2, 11, 2.5), True, 8, "3a34bc4d10d02362149b04d3b263ecb71665ef25634e9aad0bd832db38a839dd"),
-    ((3, 7, 2.0), False, 9, "62303be687cc380a3bc3d21ea2e59074f5e5be8a60fd159e248be1ab2879a3b5"),
-    ((3, 7, 2.5), True, 10, "a768d27b9e568b4f5c6e1d30b8e93dce5543168fb94c88d4022c05ca33b2aea2"),
+    ((2, 12, 2.0), False, 12345, "f01e96bdf547493f7f8b318021dab6f820e59b4d66c60a6a649f808bc987b141"),
+    ((2, 12, 2.0), True, 12345, "6ada4d837ececbc8938ae3af6355cd0295bffc4fc8f9cf192e96752472de3728"),
+    ((2, 10, 2.5), False, 7, "8956377e54d5e188ca3f99f105bbf7b446f7e855d62e62d32bd51aaa346684c1"),
+    ((2, 11, 2.5), True, 8, "a4f834633cc41b72b05be3a65b92f13940cd74636860f8a79b06e8ad37324909"),
+    ((3, 7, 2.0), False, 9, "f02cf16b8d8dff54be95cf4c69ffc76b319bc927089f574ad0c7cacc24c0b9a0"),
+    ((3, 7, 2.5), True, 10, "0d2fdff7164b3ba515e70c78c0f42661df13687d8dc50395f01f1db3c12ab4bd"),
 ]
 
 
@@ -469,179 +466,92 @@ def test_fisher_yates_matches_an_explicit_shuffle(data):
         assert dealt == draws
 
 
-class _CountingSampler(SubstreamSampler):
-    def __init__(self) -> None:
-        super().__init__()
-        self.resets = 0
-
-    def reset(self, seed: int, a: int, b: int):
-        self.resets += 1
-        return super().reset(seed, a, b)
-
-
 def _population(b: int, j: int, directed: bool) -> int:
     return math.comb(b, 2) * b ** (2 * (j - 1)) * (2 if directed else 1)
 
 
-class TestArrayReplay:
-    """The array path of `_sample_blocks` against the stream's definition:
-    one fresh Generator per block, drawing as `_scalar_block` does."""
+def _dealt(draws: list[int]) -> list[int]:
+    """A partial Fisher-Yates shuffle by list swaps: step i swaps the
+    entries at positions i and draws[i], and the first len(draws) entries
+    are dealt.  The list holds only the positions the steps touch; every
+    other position keeps its own value."""
+    where = sorted(set(range(len(draws))) | set(draws))
+    at = {p: x for x, p in enumerate(where)}
+    deck = list(where)
+    for i, t in enumerate(draws):
+        deck[at[i]], deck[at[t]] = deck[at[t]], deck[at[i]]
+    return deck[: len(draws)]
 
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), b=st.sampled_from([2, 3, 4]), directed=st.booleans(),
-           seed=st.integers(0, 2**64 - 1))
-    def test_matches_the_scalar_loop_block_by_block(self, data, b, directed, seed):
-        # c < 2 puts height 1 on numpy's p > 1/2 branch; c = b and c > b
-        # cover the usual classes, and a large c reaches 32-bit populations
-        c = data.draw(st.one_of(st.floats(1.05, 1.95), st.just(float(b)),
-                                st.floats(b + 0.1, 20.0)), label="c")
-        params = TreeParams(b, {2: 24, 3: 15, 4: 12}[b], c)
-        classes = [
-            j for j in range(1, params.H + 1)
-            if params.n // b**j >= _ARRAY_MIN_BLOCKS
-            and _inversion(_population(b, j, directed), c**-j) is not None
-        ]
-        j = data.draw(st.sampled_from(classes), label="j")
-        blocks = params.n // b**j
-        lo = data.draw(st.integers(0, blocks - _ARRAY_MIN_BLOCKS), label="lo")
-        hi = data.draw(st.integers(lo + _ARRAY_MIN_BLOCKS, min(blocks, lo + 1500)), label="hi")
-        self._check_against_the_scalar_loop(params, seed, directed, j, lo, hi)
 
-    def test_inverting_classes_skip_the_generator(self):
-        params = TreeParams(2, 16, 2.0)
-        # numpy inverts while population * p = 2**(j - 2) (twice that for
-        # arcs) is at most 30, and uses BTPE above
-        for directed, top in ((False, 6), (True, 5)):
-            for j in range(1, top + 1):
-                blocks = min(params.n // 2**j, 3000)
-                assert self._check_against_the_scalar_loop(params, 5, directed, j, 0, blocks) == 0
+def _reference_chunk(params, seed, directed, j, chunk) -> list[list[int]]:
+    """The ranks of each height-j block of the chunk, drawn one scalar
+    call at a time from a fresh generator on stream (j, chunk)."""
+    population = _population(params.b, j, directed)
+    blocks = params.n // params.b**j
+    lo, hi = chunk * generator._BLOCK_CHUNK, min((chunk + 1) * generator._BLOCK_CHUNK, blocks)
+    gen = substream(seed, j, chunk)
+    counts = gen.binomial(population, params.c**-j, size=hi - lo).tolist()
+    return [_dealt([int(gen.integers(t, population)) for t in range(k)]) for k in counts]
 
-    def test_blocks_the_generator_draws_keep_their_place(self):
-        # populations near 2**32 make Lemire rejections common, so about one
-        # block in six goes to the Generator
-        params = TreeParams(4, 12, 16.0)
-        resets = self._check_against_the_scalar_loop(params, 99, True, 8, 37, 256)
-        assert 0 < resets < 219
 
-    @staticmethod
-    def _check_against_the_scalar_loop(params, seed, directed, j, lo, hi) -> int:
-        """Check `_sample_blocks` over blocks [lo, hi) of class j against one
-        fresh Generator per block; returns the resets it made."""
-        b = params.b
-        sampler = _CountingSampler()
+def _check_class_against_reference(params, seed, directed, j) -> int:
+    """Check `_sample_blocks` over every chunk of class j against
+    `_reference_chunk`; returns the number of chunks."""
+    b = params.b
+    blocks = params.n // b**j
+    chunks = range(0, blocks, generator._BLOCK_CHUNK)
+    sampler = SubstreamSampler()
+    for lo in chunks:
+        hi = min(lo + generator._BLOCK_CHUNK, blocks)
         got = _sample_blocks(params, seed, directed, j, lo, hi, sampler)
-        population, prob = _population(b, j, directed), params.c**-j
+        want = _reference_chunk(params, seed, directed, j, lo // generator._BLOCK_CHUNK)
+        assert got[0].tolist() == [r for ranks in want for r in ranks]
+        assert got[1].tolist() == [i * b**j for i, ranks in zip(range(lo, hi), want)
+                                   for _ in ranks]
         assert set(got[2].tolist()) <= {b ** (j - 1)}
-        ranks, roots = got[0].tolist(), got[1].tolist()
-        assert roots == sorted(roots)
-        placed = 0
-        for i in range(lo, hi):
-            want = _scalar_block(substream(seed, j, i), population, prob)
-            first = bisect.bisect_left(roots, i * b**j)
-            assert roots[first : first + len(want) + 1].count(i * b**j) == len(want), i
-            assert ranks[first : first + len(want)] == want, i
-            placed += len(want)
-        assert placed == len(ranks)
-        return sampler.resets
+    return len(chunks)
+
+
+class TestChunkLayout:
+    """`_sample_blocks` against the layout's definition: per (j, chunk),
+    reset the stream, draw the counts in one binomial call, make each
+    block's placement draws as scalar calls and deal them by list swaps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), b=st.sampled_from([2, 3]), directed=st.booleans(),
+           seed=st.integers(0, 2**64 - 1), chunk=st.sampled_from([1, 3, 8, 8192]))
+    def test_matches_the_scalar_reference(self, data, b, directed, seed, chunk):
+        # c near 1 makes blocks dense, so repeated draws are common; a
+        # large c leaves most blocks empty.  A small chunk size puts many
+        # chunks in one class.
+        c = data.draw(st.one_of(st.floats(1.01, 1.3), st.floats(20.0, 1e6)), label="c")
+        params = TreeParams(b, {2: 7, 3: 4}[b], c)
+        j = data.draw(st.integers(1, params.H), label="j")
+        with mock.patch.object(generator, "_BLOCK_CHUNK", chunk):
+            _check_class_against_reference(params, seed, directed, j)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("c", [1.05, 50.0])
+    def test_a_class_of_two_chunks(self, directed, c):
+        # H = 15: the 16,384 height-1 blocks fill two chunks
+        assert _check_class_against_reference(TreeParams(2, 15, c), 3, directed, 1) == 2
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("j", [16, 17, 20])
+    @pytest.mark.parametrize("mean", [4, 1 / 2])
+    def test_populations_of_32_bits_and_more(self, directed, j, mean):
+        # at H = 20 a height-j block holds 2**(2j - 2) pairs: 2**32 at j = 17,
+        # where draws span the whole 32-bit range, and 2**38 at the top; c
+        # puts about `mean` edges in each block, so that some chunks have
+        # no block of two draws
+        params = TreeParams(2, 20, 2 ** ((2 * j - 2 - math.log2(mean)) / j))
+        for seed in range(6):
+            _check_class_against_reference(params, seed, directed, j)
 
     @pytest.mark.parametrize("threads", [2, 8])
-    def test_thread_count_does_not_change_replayed_graphs(self, threads):
-        # H = 15: height 1 spans two tasks of replayed blocks
+    def test_thread_count_does_not_change_graphs_of_two_chunks(self, threads):
+        # H = 15: height 1 spans two tasks
         for directed in (False, True):
             p = TreeParams(2, 15, 2.0)
             assert (sample_graph(p, 77, directed=directed, threads=threads)
                     == sample_graph(p, 77, directed=directed))
-
-    def test_philox_words_match_numpy(self):
-        gen = np.random.default_rng(2024)
-        keys = gen.integers(0, 2**64, (40, 2), dtype=np.uint64).tolist() + [
-            [0, 0], [2**64 - 1, 2**64 - 1], [1, 2**64 - 1]]
-        for k0, k1 in keys:
-            want = np.random.Philox(key=(k1 << 64) | k0).random_raw(24)
-            assert np.array_equal(philox4x64(np.arange(1, 7), k0, k1).ravel(), want)
-        # one row per key, as the sampler calls it
-        k0s = np.array([k0 for k0, _ in keys], dtype=np.uint64)
-        got = philox4x64(np.full(len(keys), 3), k0s, 77)
-        for row, k0 in zip(got, k0s.tolist()):
-            assert np.array_equal(row, np.random.Philox(key=(77 << 64) | k0).random_raw(12)[8:])
-
-    def test_splitmix64_array_matches_the_scalar_function(self):
-        index = np.array([0, 1, 2, 12345, 2**40, 2**63 - 1])
-        for seed in (0, 1, 2**64 - 1, 0x5851F42D4C957F2D):
-            assert splitmix64_array(seed, index).tolist() == [splitmix64(seed, int(i)) for i in index]
-
-
-def _uniform_word(u: float) -> int:
-    """A Philox word whose binomial uniform (word >> 11) * 2**-53 is the
-    first one at or above u."""
-    return math.ceil(u * 2**53) << 11
-
-
-def _crafted(blocks: dict[tuple[int, int], list[int]]):
-    """A `words` function serving the given Philox blocks, keyed by (row,
-    counter); any other block is all zeros."""
-    def words(rows, counters):
-        return np.array([blocks.get((r, c), [0, 0, 0, 0])
-                         for r, c in zip(rows.tolist(), counters.tolist())],
-                        dtype=np.uint64).reshape(-1, 4)
-    return words
-
-
-class TestCraftedWords:
-    """Words that steer `_replay_blocks` down each of its rare routes."""
-
-    def test_inversion_restart_goes_to_the_generator(self):
-        # Bin(64, 1/64): bound = 15 < 64 and P(X > 15) is about 1.8e-14, so
-        # the largest uniform runs past the bound and numpy would restart
-        inv = _inversion(64, 1 / 64)
-        assert len(inv.px) - 1 == 15 and sum(inv.px) < 1 - 2**-50
-        top = (2**53 - 1) << 11
-        below = _uniform_word(inv.px[0] + inv.px[1] / 2)  # X = 1
-        counts, ranks, to_generator = _replay_blocks(
-            inv, 64, 3, _crafted({(0, 1): [below, 5 << 32, 0, 0], (1, 1): [top, 0, 0, 0]}))
-        assert to_generator.nonzero()[0].tolist() == [1]
-        assert counts.tolist() == [1, 0, 0]
-        assert ranks.tolist() == [(5 * 64) >> 32]
-
-    def test_lemire_rejection_goes_to_the_generator(self):
-        # span 3: 2**32 % 3 = 1, so a half-word of 0 leaves 0 < 1 and is rejected
-        inv = _inversion(3, 0.3)
-        one = _uniform_word(inv.px[0] + inv.px[1] / 2)  # X = 1
-        accepted = 2**32 // 3 + 1  # leftover 3 * accepted - 2**32 = 2 >= 1
-        counts, ranks, to_generator = _replay_blocks(
-            inv, 3, 2, _crafted({(0, 1): [one, 0, 0, 0], (1, 1): [one, accepted, 0, 0]}))
-        assert to_generator.nonzero()[0].tolist() == [0]
-        assert counts.tolist() == [0, 1]
-        assert ranks.tolist() == [1]  # (accepted * 3) >> 32
-
-    def test_last_draw_over_the_whole_population_reads_no_half_word(self):
-        # p > 1/2: numpy inverts Bin(2, 1 - p), and U = 0 gives X = 0, so k = 2
-        inv = _inversion(2, 0.9)
-        assert inv.flip
-        for half, dealt in ((0, [0, 1]), (2**31, [1, 0])):
-            # the high half only feeds the last draw, of span 1, which
-            # reads nothing; 2**31 makes both draws 1, a repeat
-            for high in (0, 2**32 - 1):
-                word = (high << 32) | half
-                counts, ranks, to_generator = _replay_blocks(inv, 2, 1, _crafted({(0, 1): [0, word, 0, 0]}))
-                assert (counts.tolist(), ranks.tolist(), to_generator.any()) == ([2], dealt, False)
-
-    def test_repeated_draw_replays_the_shuffle(self):
-        inv = _inversion(4, 0.25)
-        two = _uniform_word(inv.px[0] + inv.px[1] + inv.px[2] / 2)  # X = 2
-        # draw 0: (2**31 * 4) >> 32 = 2; draw 1: 1 + (2**31 * 3) >> 32 = 2
-        word = (2**31 << 32) | 2**31
-        counts, ranks, to_generator = _replay_blocks(inv, 4, 2, _crafted({(1, 1): [two, word, 0, 0]}))
-        assert counts.tolist() == [0, 2] and not to_generator.any()
-        assert ranks.tolist() == _fisher_yates([2, 2]) == [2, 0]
-
-    def test_a_block_of_many_draws_reads_later_philox_blocks(self):
-        # 9 draws need words 1 .. 5: counter 1 holds words 0-3, counter 2 the rest
-        inv = _inversion(1024, 1 / 64)
-        nine = _uniform_word(sum(inv.px[:9]) + inv.px[9] / 2)
-        halves = [(t + 1) << 28 for t in range(10)]
-        words = [(hi << 32) | lo for lo, hi in zip(halves[::2], halves[1::2])]
-        counts, ranks, to_generator = _replay_blocks(
-            inv, 1024, 1, _crafted({(0, 1): [nine] + words[:3], (0, 2): words[3:] + [0, 0]}))
-        assert counts.tolist() == [9] and not to_generator.any()
-        assert ranks.tolist() == [t + ((halves[t] * (1024 - t)) >> 32) for t in range(9)]
