@@ -35,7 +35,7 @@ from .clusters import (
     is_externally_sparse,
     unit_fraction,
 )
-from .generator import Graph, format_real, sample_graph
+from .generator import Graph, check_threads, format_real, sample_graph
 from .oracle import DEFAULT_WORK_BUDGET, WorkBudgetError
 from .rng import check_seed, splitmix64, substream
 from .tree import TreeParams, VertexSet
@@ -211,6 +211,7 @@ def _run_trials(cfg: ExperimentConfig, measure: Callable, threads: int) -> list[
     seed, and return `measure(g, trial, seed, started)` for each, where
     `started` is the perf_counter reading taken before sampling.  Results
     are grouped by tree height, in trial order, at any thread count."""
+    check_threads(threads)
     tasks = [
         (tree_height, trial)
         for tree_height in cfg.tree_heights

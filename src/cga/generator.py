@@ -182,8 +182,8 @@ class Graph:
         src, dst = self.csr.arcs()
         if self.directed:
             return src, dst
-        keep = src < dst
-        return src[keep], dst[keep]
+        keep = src < dst  # compress runs about 3x faster than src[keep] here
+        return src.compress(keep), dst.compress(keep)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) pairs; u < v for undirected graphs, arcs
@@ -298,12 +298,21 @@ def _sample_blocks(
     return out
 
 
+def check_threads(threads: int) -> None:
+    """A ValueError unless `threads` is an int of at least 1."""
+    if not isinstance(threads, int) or isinstance(threads, bool):
+        raise ValueError(f"threads must be an int, got {threads!r}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
 def sample_graph(
     params: TreeParams, seed: int, *, directed: bool = False, threads: int = 1
 ) -> Graph:
     """Draw one graph.  Identical (params, seed, directed) always yields a
     bit-identical Graph, for any thread count."""
     check_seed(seed)
+    check_threads(threads)
     b, n = params.b, params.n
     # per-block pair populations must fit the binomial sampler's int64 range,
     # and so must a chunk's keys for finding repeated draws
@@ -385,42 +394,92 @@ def format_real(x: float) -> str:
     return repr(x)
 
 
-def _line_order(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The permutation that sorts the lines f"{u} {v}" as strings.
+# The tables are built at import by copying bytes, without numpy
+# arithmetic, which would page ufunc code into every process importing cga.
+def _digit_words() -> np.ndarray:
+    """The uint32 word of the 4 ASCII digits of k, zero-padded, for k < 10**4."""
+    digit = np.frombuffer(b"0123456789", np.uint8)
+    words = np.empty((10, 10, 10, 10, 4), np.uint8)  # [thousands, ..., units, byte]
+    words[..., 0] = digit[:, None, None, None]
+    words[..., 1] = digit[:, None, None]
+    words[..., 2] = digit[:, None]
+    words[..., 3] = digit
+    return _frozen(words.view(np.uint32).ravel())
+
+
+def _pad_masks() -> np.ndarray:
+    """[k, d]: the mask that keeps the digits of word k, counted from the
+    right, of a right-aligned d-digit number and clears its pad bytes."""
+    # a 19-digit leaf takes 5 words; word k has 4 * (k + 1) - d pad bytes
+    pads = (min(max(4 * (k + 1) - d, 0), 4) for k in range(5) for d in range(20))
+    masks = b"".join(b"\0" * pad + b"\xff" * (4 - pad) for pad in pads)
+    return np.frombuffer(masks, np.uint32).reshape(5, 20)
+
+
+_POW10 = _frozen(np.array([10**i for i in range(20)], np.uint64))
+_DIGIT_WORDS = _digit_words()
+_PAD_MASKS = _pad_masks()
+_SEPARATOR_WORDS = np.frombuffer(b" \0\0\0\n\0\0\0", np.uint32)  # after u, after v
+
+
+def _sorted_lines(g: Graph) -> tuple[int, np.ndarray, np.ndarray]:
+    """D, the most digits of any vertex; the (E, 2) uint64 lines (u, v)
+    in the order that sorts the text lines f"{u} {v}" as strings; and the
+    (E, 2) uint8 digit counts of their vertices.
 
     A space sorts below every digit, so the lines compare as the pairs
     (str(u), str(v)) do; and a d-digit string x compares as the pair
-    (x * 10**(D - d), d) does, with D the most digits of any value."""
-    D = len(str(max(u.max(initial=0), v.max(initial=0))))
-    tens = 10 ** np.arange(1, D, dtype=np.int64)  # 10, ..., 10**(D-1)
-    keys = []
-    for x in (u, v):
-        d = tens.searchsorted(x, side="right").astype(np.uint64) + 1
-        keys.append((x.astype(np.uint64) * 10 ** (D - d), d))
-    (pu, du), (pv, dv) = keys
-    return np.lexsort((dv, pv, du, pu))
+    (x * 10**(D - d), d) does.  Up to 8 digits, the four numbers of a
+    line fit one uint64 key; beyond, a lexsort orders them."""
+    lines = np.stack(g.edge_arrays(), axis=1).view(np.uint64)
+    D = len(str(lines.max(initial=0)))
+    digits = _POW10[1:D].searchsorted(lines.ravel(), side="right").astype(np.uint8) + 1
+    digits = digits.reshape(lines.shape)
+    p = lines * _POW10[D - digits]
+    if D <= 8:  # p * (D + 1) + d < 10**D * (D + 1), whose square is below 2**64
+        p *= D + 1
+        p += digits
+        key = p[:, 0] * (10**D * (D + 1))
+        key += p[:, 1]
+        order = key.argsort(kind="stable")  # the edges' own order is mostly sorted
+    else:
+        order = np.lexsort((digits[:, 1], p[:, 1], digits[:, 0], p[:, 0]))
+    return D, lines.take(order, axis=0), digits.take(order, axis=0)
 
 
 def edge_list_text(g: Graph) -> str:
+    """The edge-list file of g.  Each line is built as uint32 words: each
+    vertex as ceil(D/4) right-aligned words of 4 ASCII digits, its leading
+    pad bytes masked to NUL, then a space or a newline word; one
+    bytes.translate drops the NULs."""
     p = g.params
     header = (
         f"# cga b={p.b} H={p.H} c={format_real(p.c)} "
-        f"seed={g.seed} directed={1 if g.directed else 0}"
+        f"seed={g.seed} directed={1 if g.directed else 0}\n"
     )
-    u, v = g.edge_arrays()
-    order = _line_order(u, v)
-    lines = np.column_stack((u[order], v[order]))
-    # formatted a slice at a time, to bound the Python ints alive at once
-    parts = [header + "\n"]
+    D, lines, digits = _sorted_lines(g)
+    W = -(-D // 4)  # words per vertex
+    parts = [header.encode()]
+    # formatted a slice at a time, to bound the scratch arrays
     for lo in range(0, len(lines), _LINES_PER_SLICE):
-        flat = lines[lo : lo + _LINES_PER_SLICE].ravel().tolist()
-        parts.append(("%d %d\n" * (len(flat) // 2)) % tuple(flat))
-    return "".join(parts)
+        x, d = lines[lo : lo + _LINES_PER_SLICE], digits[lo : lo + _LINES_PER_SLICE]
+        words = np.empty((len(x), 2, W + 1), np.uint32)
+        for k in range(W):  # word k from the right
+            q = x
+            if k < W - 1:
+                x, q = np.divmod(x, 10**4)
+            np.bitwise_and(_DIGIT_WORDS.take(q), _PAD_MASKS[k].take(d),
+                           out=words[:, :, W - 1 - k])
+        words[:, :, W] = _SEPARATOR_WORDS
+        parts.append(words.tobytes().translate(None, b"\0"))
+    body = b"".join(parts)
+    del parts
+    return body.decode("ascii")
 
 
 def write_edge_list(g: Graph, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(edge_list_text(g))
+    with open(path, "wb") as fh:
+        fh.write(edge_list_text(g).encode("ascii"))
 
 
 def parse_edge_list(text: str) -> Graph:

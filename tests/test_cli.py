@@ -414,8 +414,8 @@ def _modules_loaded_by(code: str) -> set[str]:
 
 class TestImportHygiene:
     """numpy.random and numpy.ma cost start-up time and resident memory, so
-    the CLI loads neither before it needs them, and sampling never loads
-    numpy.ma."""
+    the CLI loads neither before it needs them, and sampling and writing
+    an edge list never load numpy.ma."""
 
     def test_importing_the_cli_loads_neither(self):
         loaded = _modules_loaded_by("import cga.cli")
@@ -427,6 +427,15 @@ class TestImportHygiene:
             "from cga.generator import sample_graph\nfrom cga.tree import TreeParams\n"
             "assert sample_graph(TreeParams(2, 16, 2.0), 1).edge_count > 0")
         assert "numpy.random" in loaded
+        assert "numpy.ma" not in loaded
+
+    def test_writing_an_edge_list_does_not_load_numpy_ma(self):
+        loaded = _modules_loaded_by(
+            "import os\nfrom cga.generator import Graph, write_edge_list\n"
+            "from cga.tree import TreeParams\n"
+            # both line orders: one key up to 8 digits, a lexsort beyond
+            "write_edge_list(Graph.from_edges(TreeParams(2, 4, 2.0), [(0, 5)]), os.devnull)\n"
+            "write_edge_list(Graph.from_edges(TreeParams(2, 63, 2.0), [(0, 10**9)]), os.devnull)")
         assert "numpy.ma" not in loaded
 
 

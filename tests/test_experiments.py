@@ -381,3 +381,20 @@ class TestXsStatistics:
         text = xs_csv(c, xs_statistics(c, 1))
         lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert lines[0] == "H,n,h,trials,observations,emp_mean,emp_var,analytic_mean"
+
+
+@pytest.mark.parametrize("run", [
+    lambda c, threads: run_threshold_sweep(c, threads=threads),
+    lambda c, threads: estimate_event_probs(c, SetTemplate(height=1, size=2), threads=threads),
+    lambda c, threads: trend_sparse_below_mstar(c, threads=threads),
+    lambda c, threads: xs_statistics(c, 1, threads=threads),
+], ids=["sweep", "events", "trend", "xs"])
+@pytest.mark.parametrize("threads", [-3, 0, 1.5])
+def test_thread_count_refused_before_sampling(run, threads, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a graph")
+
+    monkeypatch.setattr(experiments, "sample_graph", no_sampling)
+    message = "must be an int" if isinstance(threads, float) else f"must be >= 1, got {threads}"
+    with pytest.raises(ValueError, match=message):
+        run(cfg(trials=1), threads)

@@ -27,7 +27,7 @@ from cga.generator import (
 )
 from cga.rng import SubstreamSampler, splitmix64, substream
 from cga.tree import TreeParams
-from util import all_pair_probs
+from util import all_pair_probs, reference_edge_list_text
 
 P22 = TreeParams(2, 2, 2.0)
 P23 = TreeParams(2, 3, 2.0)
@@ -72,6 +72,16 @@ class TestSampling:
     def test_different_seeds_differ(self):
         p = TreeParams(2, 6, 2.0)
         assert sample_graph(p, 1) != sample_graph(p, 2)
+
+    @pytest.mark.parametrize("threads", [-3, 0])
+    def test_thread_count_below_one_is_refused(self, threads):
+        with pytest.raises(ValueError, match=f"must be >= 1, got {threads}"):
+            sample_graph(TreeParams(2, 5, 2.0), 1, threads=threads)
+
+    @pytest.mark.parametrize("threads", [2.0, "2", True, None])
+    def test_thread_count_must_be_an_int(self, threads):
+        with pytest.raises(ValueError, match="threads must be an int"):
+            sample_graph(TreeParams(2, 5, 2.0), 1, threads=threads)
 
     @given(seed=st.integers(0, 2**64 - 1))
     @settings(max_examples=25, deadline=None)
@@ -300,6 +310,71 @@ class TestEdgeListFormat:
         assert isinstance(g.directed, bool) and 0 <= g.seed < 2**64
 
 
+def _expected_text(g) -> str:
+    """The edge-list file of g straight from its definition: the header,
+    then the lines f"{u} {v}" sorted as strings."""
+    p = g.params
+    header = f"# cga b={p.b} H={p.H} c={p.c:g} seed={g.seed} directed={int(g.directed)}\n"
+    return header + "".join(sorted(f"{u} {v}\n" for u, v in g.edges()))
+
+
+# 10**k - 1 and 10**k for every digit count a leaf of a b=2, H=63 tree has,
+# up to its last leaf 2**63 - 1
+DIGIT_EDGES = sorted({x for k in range(19) for x in (10**k - 1, 10**k)} | {2**63 - 1})
+
+
+class TestArrayWriter:
+    """The writer orders lines by one uint64 key up to 8 digits and by a
+    lexsort beyond, and builds them from 4-digit words."""
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("bhc", [(2, 16, 2.0), (3, 9, 2.5), (5, 5, 2.5)],
+                             ids=["b2-H16", "b3-H9", "b5-H5"])
+    def test_bytes_match_the_reference_writer(self, bhc, directed):
+        # b=2, H=16 holds over 2**18 lines, so several slices are formatted
+        g = sample_graph(TreeParams(*bhc), 5, directed=directed)
+        assert g.edge_count > 1000
+        assert edge_list_text(g) == reference_edge_list_text(g)
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("pairs", [[], [(0, 1)], [(2**63 - 1, 10**18)]],
+                             ids=["empty", "one-edge", "one-19-digit-edge"])
+    def test_tiny_graphs(self, pairs, directed):
+        g = Graph.from_edges(TreeParams(2, 63, 2.0), pairs, directed=directed)
+        text = edge_list_text(g)
+        assert text == _expected_text(g)
+        assert text.count("\n") == 1 + len(pairs)
+        assert parse_edge_list(text) == g
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), top=st.sampled_from([10**8 - 1, 10**8, 2**63 - 1]),
+           directed=st.booleans())
+    def test_text_is_the_sorted_lines(self, data, top, directed):
+        # top fixes D: 8 digits keep the one-key order, 9 and 19 use the
+        # lexsort; (0, top) is always an edge
+        leaf = st.sampled_from([x for x in DIGIT_EDGES if x <= top]) | st.integers(0, top)
+        pairs = data.draw(st.lists(
+            st.tuples(leaf, leaf).filter(lambda e: e[0] != e[1]),
+            max_size=40,
+            unique_by=lambda e: frozenset(e),
+        ).filter(lambda ps: not any({0, top} == set(e) for e in ps)))
+        g = Graph.from_edges(TreeParams(2, 63, 2.0), [(0, top), *pairs], directed=directed)
+        text = edge_list_text(g)
+        assert text == _expected_text(g)
+        assert parse_edge_list(text) == g
+
+    def test_every_digit_count(self):
+        # each leaf of DIGIT_EDGES joined to the next one, both ways round
+        # when directed: every digit count from 1 to 19 meets itself and
+        # the next count, on the u side and on the v side
+        pairs = list(zip(DIGIT_EDGES, DIGIT_EDGES[1:]))
+        for directed, edges in ((False, pairs), (True, pairs + [(v, u) for u, v in pairs])):
+            g = Graph.from_edges(TreeParams(2, 63, 2.0), edges, directed=directed)
+            text = edge_list_text(g)
+            assert text == _expected_text(g)
+            assert parse_edge_list(text) == g
+
+
 class TestGraphConstruction:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -361,10 +436,11 @@ class TestGraphAgainstReference:
             assert g != Graph.from_edges(p, pairs[1:], directed=directed)
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), H=st.sampled_from([26, 40]), directed=st.booleans())
+    @given(data=st.data(), H=st.sampled_from([26, 27, 40, 63]), directed=st.booleans())
     def test_large_leaf_counts(self, data, H, directed):
-        # at H = 26 rows sort by one int64 key, at H = 40 by a lexsort; leaf
-        # numbers have up to 8 and up to 13 digits
+        # at H = 26 rows sort by one int64 key, beyond by a lexsort; leaf
+        # numbers have up to 8, 9, 13 and 19 digits, and the edge-list
+        # lines sort by one uint64 key only up to 8
         leaf = st.integers(0, 2**H - 1) | st.integers(0, 10**7)
         pairs = data.draw(st.lists(
             st.tuples(leaf, leaf).filter(lambda e: e[0] != e[1]),

@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 
 def to_digits(x: int, b: int, H: int) -> list[int]:
     """Base-b digit string of x, length H, most significant digit first."""
@@ -105,3 +107,30 @@ def isolated_count_moments(b: int, H: int, c) -> tuple[Fraction, Fraction]:
         Fraction(0),
     )
     return n * p, n * p * (1 - p) + n * p**2 * partner_cov
+
+
+def reference_edge_list_text(g) -> str:
+    """The edge-list file of g from a four-key lexsort and %-formatting of
+    the ordered pairs, 2**14 lines at a time: a slow writer, kept as the
+    oracle for the bytes of `edge_list_text`."""
+    p = g.params
+    c = str(int(p.c)) if p.c == int(p.c) else repr(p.c)
+    header = f"# cga b={p.b} H={p.H} c={c} seed={g.seed} directed={1 if g.directed else 0}"
+    u, v = g.edge_arrays()
+    # a space sorts below every digit, so the lines compare as the pairs
+    # (str(u), str(v)) do; and a d-digit string x compares as the pair
+    # (x * 10**(D - d), d) does, with D the most digits of any value
+    D = len(str(max(u.max(initial=0), v.max(initial=0))))
+    tens = 10 ** np.arange(1, D, dtype=np.int64)  # 10, ..., 10**(D-1)
+    keys = []
+    for x in (u, v):
+        d = tens.searchsorted(x, side="right").astype(np.uint64) + 1
+        keys.append((x.astype(np.uint64) * 10 ** (D - d), d))
+    (pu, du), (pv, dv) = keys
+    order = np.lexsort((dv, pv, du, pu))
+    lines = np.column_stack((u[order], v[order]))
+    parts = [header + "\n"]
+    for lo in range(0, len(lines), 2**14):
+        flat = lines[lo : lo + 2**14].ravel().tolist()
+        parts.append(("%d %d\n" * (len(flat) // 2)) % tuple(flat))
+    return "".join(parts)
