@@ -25,7 +25,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, NamedTuple
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -250,55 +250,70 @@ def internal_edge_count(S, g: Graph) -> int:
 
 
 class CompleteSetScan(NamedTuple):
-    """Per-block results of `complete_set_scan`; block i is the complete set
-    [i * b**h, (i + 1) * b**h).  E1 holds vacuously for complete sets."""
+    """Per-set results of `complete_set_scan`; set i is i * b**h + offsets,
+    inside the complete set [i * b**h, (i + 1) * b**h)."""
 
-    internal: np.ndarray  # edges inside the block, arcs counted once
+    internal: np.ndarray  # edges inside the set, arcs counted once
     dense: np.ndarray  # event D
+    e1: np.ndarray
     e2: np.ndarray
     e3: np.ndarray
 
     @property
     def cluster(self) -> np.ndarray:
-        return self.dense & self.e2 & self.e3
+        return self.dense & self.e1 & self.e2 & self.e3
 
 
-def complete_set_scan(g: Graph, spec: ClusterSpec, h: int, h_star: int) -> CompleteSetScan:
-    """Internal edge counts and events D, E2, E3 of all complete height-h
-    sets, from one pass over the arcs.  Block by block it agrees with
+def complete_set_scan(g: Graph, spec: ClusterSpec, h: int, h_star: int,
+                      offsets: Sequence[int] | None = None) -> CompleteSetScan:
+    """Internal edge counts and events D, E1, E2, E3 of the set i * b**h +
+    offsets (ascending; by default the whole block) in every complete height-h
+    set, from one pass over the arcs.  Set by set it agrees with
     `internal_edge_count` and `event_report`, the path that names witnesses."""
     _check_mode(g, spec.mode)
     p = g.params
     if not 0 <= h <= p.H:
         raise ValueError(f"height must lie in [0, {p.H}], got {h}")
-    if not h <= h_star <= p.H:
-        raise ValueError(f"h_star must lie in [{h}, {p.H}], got {h_star}")
     if p.n >= 2**31:  # keys u * blocks + block below reach n**2, beyond int64
         raise ValueError(f"the complete-set scan needs n < 2**31, got n = {p.n}")
     block = p.b**h
     blocks = p.n // block
-    dense_min, sparse_max = spec.cutoffs(block)
+    offsets = np.arange(block) if offsets is None else np.asarray(offsets)
+    if not (len(offsets) and 0 <= offsets[0] and offsets[-1] < block
+            and (offsets[1:] > offsets[:-1]).all()):
+        raise ValueError(f"offsets must be ascending distinct leaves of [0, {block}): {offsets}")
+    pattern = VertexSet.from_leaves((int(offsets[0]), int(offsets[-1])), p)  # S(M) of set 0
+    if not pattern.height <= h_star <= p.H:
+        raise ValueError(f"h_star must lie in [{pattern.height}, {p.H}], got {h_star}")
+    member = np.tile(np.bincount(offsets, minlength=block) > 0, blocks)  # v in its block's set
+    dense_min, sparse_max = spec.cutoffs(len(offsets))
 
-    src, dst = g.arc_arrays()  # arc u -> v counts toward e(u, block of v)
+    src, dst = g.csr.arcs()  # arc u -> v counts toward e(u, set of v)
+    if len(offsets) < block:  # keep the arcs into a member (all are, when sets are complete)
+        into = member.take(dst)
+        src, dst = src.compress(into), dst.compress(into)
     dst //= block
-    inside = src // block == dst
-    internal = np.bincount(dst[inside], minlength=blocks) // (1 if g.directed else 2)
-    degree = np.bincount(src[inside], minlength=p.n)
-    dense = degree.reshape(blocks, block).min(axis=1) >= dense_min
+    inside = (src // block == dst) & member.take(src)
+    internal = np.bincount(dst.compress(inside), minlength=blocks) // (1 if g.directed else 2)
+    degree = np.bincount(src.compress(inside), minlength=p.n).reshape(blocks, block)
+    dense = degree[:, offsets].min(axis=1) >= dense_min  # a column-major copy, fast to reduce
 
-    # key u * blocks + block of v per arc, built in place; in sorted keys a run
+    # key u * blocks + set of v per arc, built in place; in sorted keys a run
     # longer than sparse_max, keys[i] == keys[i + sparse_max], breaks the cut-off
     keys = src
     keys *= blocks
     keys += dst
     keys.sort()
     tail = keys[sparse_max:]
-    u, entered = np.divmod(tail[tail == keys[: len(tail)]], blocks)
-    outsider = u // block != entered
-    near = u // p.b**h_star == entered // p.b ** (h_star - h)
-    e2 = np.bincount(entered[outsider & near], minlength=blocks) == 0
-    e3 = np.bincount(entered[outsider & ~near], minlength=blocks) == 0
-    return CompleteSetScan(internal, dense, e2, e3)
+    u, entered = np.divmod(tail.compress(tail == keys[: len(tail)]), blocks)
+    root = entered * block + pattern.root  # u is in S(M, k) when u // b**k == root // b**k
+    near_set = u // p.b**pattern.height == root // p.b**pattern.height
+    near = u // p.b**h_star == root // p.b**h_star
+    e1, e2, e3 = (  # the members of M, all in S(M), are no violators
+        np.bincount(entered.compress(region), minlength=blocks) == 0
+        for region in (near_set & ~member.take(u), near & ~near_set, ~near)
+    )
+    return CompleteSetScan(internal, dense, e1, e2, e3)
 
 
 def sparse_core(M, g: Graph, fraction, mode: Mode | None = None) -> VertexSet:

@@ -31,7 +31,6 @@ from .bounds import expected_internal_edges, m_star, threshold_heights
 from .clusters import (
     ClusterSpec,
     complete_set_scan,
-    event_report,
     is_externally_sparse,
     unit_fraction,
 )
@@ -233,15 +232,17 @@ def _run_trials(cfg: ExperimentConfig, measure: Callable, threads: int) -> list[
     return [results[i : i + cfg.trials] for i in range(0, len(results), cfg.trials)]
 
 
-def _check_sweep_budget(cfg: ExperimentConfig) -> None:
+def _check_sweep_budget(cfg: ExperimentConfig, kind: str, heights: Callable) -> None:
+    """Refuse, before any sampling, a run whose scans at `heights(H)` on
+    every tree height H would exceed the work budget."""
     for tree_height in cfg.tree_heights:
         n = cfg.b**tree_height
-        for h in cfg.heights:
+        for h in heights(tree_height):
             block = cfg.b**h
             est = (n // block) * (block * (block - 1) // 2 + block) + n
             if est > cfg.work_budget:
                 raise WorkBudgetError(
-                    est, cfg.work_budget, f"sweep at H={tree_height}, height={h}"
+                    est, cfg.work_budget, f"{kind} at H={tree_height}, height={h}"
                 )
 
 
@@ -273,7 +274,7 @@ def run_threshold_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[TrialRe
     """Sample trials across the configured tree heights and scan every
     requested height for cliques, dense complete sets, complete clusters,
     event rates and internal-edge statistics."""
-    _check_sweep_budget(cfg)
+    _check_sweep_budget(cfg, "sweep", lambda tree_height: cfg.heights)
     spec = cfg.cluster_spec
 
     def measure(g: Graph, trial: int, seed: int, started: float) -> TrialReport:
@@ -388,33 +389,24 @@ def estimate_event_probs(
     cfg: ExperimentConfig, template: SetTemplate, threads: int = 1
 ) -> list[EventProbEstimate]:
     """Place one probe set per splitting block per trial and measure the
-    frequency of each density/sparseness event."""
+    frequency of each density/sparseness event, from one scan per trial."""
     spec = cfg.cluster_spec
-    probes_at = {}  # tree height -> (splitting height, probe sets)
-    for tree_height in cfg.tree_heights:
-        params = cfg.params_for(tree_height)
-        h_star = cfg.resolve_h_star(tree_height, template.height)
-        roots = range(0, params.n, params.b**h_star)
-        probes_at[tree_height] = h_star, [place_set(template, root, params) for root in roots]
+    h_stars = {H: cfg.resolve_h_star(H, template.height) for H in cfg.tree_heights}
+    _check_sweep_budget(cfg, "events", lambda tree_height: (h_stars[tree_height],))
+    # the probe set of block 0; the block at root r holds r + offsets
+    offsets = place_set(template, 0, cfg.params_for(cfg.h_to)).members
 
     def measure(g: Graph, trial: int, seed: int, started: float) -> list[int]:
-        h_star, probes = probes_at[g.params.H]
-        tally = [0] * len(EVENT_KEYS)
-        for M in probes:
-            rep = event_report(M, g, spec, h_star)
-            tally[0] += rep.dense
-            tally[1] += rep.e1
-            tally[2] += rep.e2
-            tally[3] += rep.e3
-            tally[4] += rep.is_cluster
-        return tally
+        h_star = h_stars[g.params.H]
+        scan = complete_set_scan(g, spec, h_star, h_star, offsets)
+        return [int(a.sum()) for a in (scan.dense, scan.e1, scan.e2, scan.e3, scan.cluster)]
 
     results = []
     for tree_height, tallies in zip(cfg.tree_heights, _run_trials(cfg, measure, threads)):
         params = cfg.params_for(tree_height)
-        h_star, probes = probes_at[tree_height]
+        probes = params.n // params.b ** h_stars[tree_height]
         totals = [sum(t[i] for t in tallies) for i in range(len(EVENT_KEYS))]
-        obs = len(probes) * cfg.trials
+        obs = probes * cfg.trials
         freq = {k: totals[i] / obs for i, k in enumerate(EVENT_KEYS)}
         se = {
             k: math.sqrt(freq[k] * (1 - freq[k]) / obs) for k in EVENT_KEYS
@@ -423,8 +415,8 @@ def estimate_event_probs(
             EventProbEstimate(
                 tree_height=tree_height,
                 n=params.n,
-                h_star_used=h_star,
-                placements_per_trial=len(probes),
+                h_star_used=h_stars[tree_height],
+                placements_per_trial=probes,
                 trials=cfg.trials,
                 observations=obs,
                 freq=freq,
@@ -611,6 +603,7 @@ def xs_statistics(cfg: ExperimentConfig, h: int, threads: int = 1) -> list[XsSta
     trial, per tree height."""
     if not 0 <= h <= cfg.h_from:
         raise ValueError(f"height {h} outside [0, {cfg.h_from}] (the smallest tree height)")
+    _check_sweep_budget(cfg, "xs", lambda tree_height: (h,))
 
     def measure(g: Graph, trial: int, seed: int, started: float) -> list[int]:
         return complete_set_scan(g, cfg.cluster_spec, h, g.params.H).internal.tolist()

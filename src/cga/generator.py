@@ -171,11 +171,6 @@ class Graph:
         neighbor, when undirected)."""
         return len(self.in_csr.rows)
 
-    def arc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh int64 arrays (src, dst), one entry per v in neighbors(u):
-        each arc once, each undirected edge once in either direction."""
-        return self.csr.arcs()
-
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The edges as arrays (u, v): u < v for undirected graphs, in u
         then v order."""

@@ -361,6 +361,15 @@ class TestExperimentCommand:
         assert run(["experiment", "sweep", "--config", str(cfg_path)]) == EXIT_USAGE
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,extra", [
+        ("events", "set_height = 1\nset_size = 2\n"), ("xs", "set_height = 1\n")])
+    def test_events_and_xs_over_budget_exit_4(self, tmp_path, capsys, kind, extra):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SWEEP_CONFIG + extra + "work_budget = 10\n")
+        assert run(["experiment", kind, "--config", str(cfg_path)]) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert f"{kind} at H=4" in captured.err and captured.out == ""
+
     def test_trend_size_above_n_exits_2(self, tmp_path, capsys):
         # m_star = 5.8 here, so size 5 is tested, but n = 2 at H = 1
         cfg_path = tmp_path / "exp.cfg"
@@ -414,8 +423,8 @@ def _modules_loaded_by(code: str) -> set[str]:
 
 class TestImportHygiene:
     """numpy.random and numpy.ma cost start-up time and resident memory, so
-    the CLI loads neither before it needs them, and sampling and writing
-    an edge list never load numpy.ma."""
+    the CLI loads neither before it needs them, and sampling, writing an
+    edge list and an events run never load numpy.ma."""
 
     def test_importing_the_cli_loads_neither(self):
         loaded = _modules_loaded_by("import cga.cli")
@@ -436,6 +445,13 @@ class TestImportHygiene:
             # both line orders: one key up to 8 digits, a lexsort beyond
             "write_edge_list(Graph.from_edges(TreeParams(2, 4, 2.0), [(0, 5)]), os.devnull)\n"
             "write_edge_list(Graph.from_edges(TreeParams(2, 63, 2.0), [(0, 10**9)]), os.devnull)")
+        assert "numpy.ma" not in loaded
+
+    def test_an_events_run_does_not_load_numpy_ma(self):
+        loaded = _modules_loaded_by(
+            "from cga.experiments import ExperimentConfig, SetTemplate, estimate_event_probs\n"
+            "cfg = ExperimentConfig(b=2, c=2, h_from=5, h_to=5, trials=2, h_star=3)\n"
+            "assert estimate_event_probs(cfg, SetTemplate(1, 2))[0].observations == 8")
         assert "numpy.ma" not in loaded
 
 

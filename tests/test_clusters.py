@@ -316,6 +316,62 @@ class TestCompleteSetScan:
         with pytest.raises(ValueError, match="2\\*\\*31"):
             complete_set_scan(g, HALF, 1, 1)
 
+    def test_refuses_bad_offsets(self):
+        g = sample_graph(P23, 9)
+        for offsets in [(), [], (1, 1), (2, 1), (-1, 0), (0, 4), (4,), (0, 2**70)]:
+            with pytest.raises(ValueError, match="offsets"):
+                complete_set_scan(g, HALF, 2, 2, offsets)
+
+    def test_h_star_may_not_fall_below_the_pattern(self):
+        g = sample_graph(P23, 9)
+        with pytest.raises(ValueError, match="h_star"):
+            complete_set_scan(g, HALF, 3, 1, (0, 2))  # the pattern has height 2
+        assert len(complete_set_scan(g, HALF, 3, 1, (2, 3)).dense) == 1  # height 1
+
+    def test_heights_and_size_are_checked_before_any_block_array(self):
+        # a block array of 2**31 or 2**41 leaves would not fit in memory
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            complete_set_scan(Graph.from_edges(TreeParams(2, 31, 2.0), []), HALF, 31, 31)
+        g = Graph.from_edges(TreeParams(2, 40, 2.0), [])
+        for h in (-1, 41):
+            with pytest.raises(ValueError, match="height must lie"):
+                complete_set_scan(g, HALF, h, 40)
+
+
+RATIOS = ["1/4", "1/3", "1/2", "2/3", "1"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_offset_scan_agrees_with_event_report_and_definition_oracle(data):
+    b = data.draw(st.sampled_from([2, 3]), label="b")
+    H = data.draw(st.integers(1, 4 if b == 2 else 3), label="H")
+    directed = data.draw(st.booleans(), label="directed")
+    mode = "directed-out" if directed else data.draw(
+        st.sampled_from(["undirected", "directed-out"]), label="mode")
+    alpha, beta = data.draw(st.sampled_from(RATIOS)), data.draw(st.sampled_from(RATIOS))
+    spec = ClusterSpec(alpha, beta, mode)
+    g = sample_graph(TreeParams(b, H, data.draw(st.sampled_from([1.1, 1.5, 2.0]))),
+                     data.draw(st.integers(0, 2**16)), directed=directed)
+    h = data.draw(st.integers(0, H), label="h")
+    # a pattern inside one height-ph subtree of the block, so often below h
+    ph = data.draw(st.integers(0, h), label="pattern subtree height")
+    root = data.draw(st.integers(0, b ** (h - ph) - 1)) * b**ph
+    picked = data.draw(st.sets(st.integers(0, b**ph - 1), min_size=1), label="pattern")
+    offsets = tuple(sorted(root + x for x in picked))
+    block = b**h
+    sets = [[i * block + x for x in offsets] for i in range(b**H // block)]
+    height = set_height(offsets, g.params)
+    naive = [naive_is_cluster(M, g, spec.alpha, spec.beta) for M in sets]
+    for h_star in range(height, H + 1):
+        scan = complete_set_scan(g, spec, h, h_star, offsets)
+        for i, M in enumerate(sets):
+            rep = event_report(M, g, spec, h_star)
+            got = (scan.dense[i], scan.e1[i], scan.e2[i], scan.e3[i], scan.cluster[i])
+            assert got == (rep.dense, rep.e1, rep.e2, rep.e3, rep.is_cluster)
+            assert scan.cluster[i] == naive[i]
+            assert scan.internal[i] == internal_edge_count(M, g)
+
 
 class TestSparseCore:
     def test_examples(self):

@@ -6,8 +6,10 @@ import pytest
 
 from cga import experiments
 from cga.bounds import expected_internal_edges, m_star
+from cga.clusters import event_report
 from cga.experiments import (
     DEFAULT_MEASURES,
+    EVENT_KEYS,
     SWEEP_HEADER,
     ExperimentConfig,
     SetTemplate,
@@ -21,6 +23,7 @@ from cga.experiments import (
     xs_csv,
     xs_statistics,
 )
+from cga.generator import sample_graph
 from cga.oracle import WorkBudgetError
 from cga.rng import splitmix64
 from cga.tree import TreeParams
@@ -213,6 +216,36 @@ class TestEventProbs:
         single = place_set(SetTemplate(height=0, size=1), 8, p)
         assert single.members == (8,)
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("config,template", [
+        (dict(), SetTemplate(height=1, size=2)),
+        (dict(h_from=5, h_to=6, h_star=None), SetTemplate(height=2, size=3)),
+        (dict(b=3, c=2.5, h_from=3, h_to=3), SetTemplate(height=1, size=2)),
+        (dict(h_from=5, h_to=5, h_star=4), SetTemplate(height=2, size=3, placement="left")),
+        (dict(h_from=5, h_to=5, h_star=3), SetTemplate(height=3, size=2, placement="left")),
+        (dict(directed=True, alpha="0.3", beta="0.3"), SetTemplate(height=2, size=3)),
+    ], ids=["spread", "resolved-h-star", "b3", "left", "left-below-template", "directed"])
+    def test_counts_match_a_per_probe_event_report_loop(self, config, template, threads):
+        c = cfg(**{"h_star": 2, "trials": 4, "heights": (), **config})
+        spec = c.cluster_spec
+        for est in estimate_event_probs(c, template, threads=threads):
+            params = c.params_for(est.tree_height)
+            counts = dict.fromkeys(EVENT_KEYS, 0)
+            for trial in range(c.trials):
+                g = sample_graph(params, c.trial_seed(est.tree_height, trial), directed=c.directed)
+                for root in range(0, params.n, params.b**est.h_star_used):
+                    rep = event_report(place_set(template, root, params), g, spec, est.h_star_used)
+                    for key, held in zip(EVENT_KEYS, (rep.dense, rep.e1, rep.e2, rep.e3,
+                                                      rep.is_cluster)):
+                        counts[key] += held
+            assert est.counts == counts
+            assert est.observations == c.trials * params.n // params.b**est.h_star_used
+
+    def test_budget_refusal_names_offender(self, monkeypatch):
+        monkeypatch.setattr(experiments, "sample_graph", None)  # refused before sampling
+        with pytest.raises(WorkBudgetError, match="events at H=4, height=2"):
+            estimate_event_probs(cfg(work_budget=10, h_star=2), SetTemplate(height=1, size=2))
+
     def test_csv_layout(self):
         c = cfg(trials=2)
         t = SetTemplate(height=1, size=2)
@@ -375,6 +408,11 @@ class TestXsStatistics:
         for h in (-1, 5):
             with pytest.raises(ValueError):
                 xs_statistics(cfg(trials=1, heights=()), h)
+
+    def test_budget_refusal_names_offender(self, monkeypatch):
+        monkeypatch.setattr(experiments, "sample_graph", None)  # refused before sampling
+        with pytest.raises(WorkBudgetError, match="xs at H=4, height=2"):
+            xs_statistics(cfg(work_budget=10, heights=()), 2)
 
     def test_csv_layout(self):
         c = cfg(trials=2, heights=())

@@ -520,7 +520,7 @@ class TestGraphStorage:
     def test_arc_arrays_are_fresh(self):
         g = sample_graph(P23, 5)
         before = list(g.edges())
-        src, dst = g.arc_arrays()
+        src, dst = g.csr.arcs()
         src[:] = 0
         dst[:] = 0
         assert list(g.edges()) == before
