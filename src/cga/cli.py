@@ -50,6 +50,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_BUDGET = 4
 
+THREADS_HELP = "checked (must be >= 1) and kept for compatibility; all work runs on one thread"
+
 
 def _echo_config(out, pairs) -> None:
     for key, val in pairs:
@@ -373,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--directed", action="store_true")
-    p.add_argument("--threads", type=_at_least(1), default=1)
+    p.add_argument("--threads", type=_at_least(1), default=1, help=THREADS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -423,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["sweep", "events", "trend", "xs"])
     p.add_argument("--config", required=True, help="plain-text key=value config file")
     p.add_argument("--out", default=None, help="output CSV path (stdout when omitted)")
-    p.add_argument("--threads", type=_at_least(1), default=1)
+    p.add_argument("--threads", type=_at_least(1), default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_experiment)
 
     return parser

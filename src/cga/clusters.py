@@ -298,12 +298,13 @@ def complete_set_scan(g: Graph, spec: ClusterSpec, h: int, h_star: int,
     degree = np.bincount(src.compress(inside), minlength=p.n).reshape(blocks, block)
     dense = degree[:, offsets].min(axis=1) >= dense_min  # a column-major copy, fast to reduce
 
-    # key u * blocks + set of v per arc, built in place; in sorted keys a run
-    # longer than sparse_max, keys[i] == keys[i + sparse_max], breaks the cut-off
+    # key u * blocks + set of v per arc, built in place; the CSR's arcs run by
+    # u and then by ascending v, and compress keeps their order, so the keys
+    # are sorted already.  A run longer than sparse_max, keys[i] == keys[i +
+    # sparse_max], breaks the cut-off
     keys = src
     keys *= blocks
     keys += dst
-    keys.sort()
     tail = keys[sparse_max:]
     u, entered = np.divmod(tail.compress(tail == keys[: len(tail)]), blocks)
     root = entered * block + pattern.root  # u is in S(M, k) when u // b**k == root // b**k

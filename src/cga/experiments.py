@@ -3,8 +3,9 @@
 Trials derive their graph seeds from the experiment master seed through
 SplitMix64: the trial at position i of the sweep (position = tree-height
 index * trials + trial index) uses splitmix64(master_seed, i).  Every
-estimator here is a pure function of its config, so reruns and different
-worker counts reproduce identical output bytes.
+estimator here is a pure function of its config, so reruns reproduce
+identical output bytes.  Trials run in order on the calling thread; the
+`threads` argument of each entry point is checked and changes nothing else.
 
 Sweep CSV format (one row per trial and scanned height, after `# key=value`
 comment lines echoing the full resolved config):
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations
@@ -34,7 +34,7 @@ from .clusters import (
     is_externally_sparse,
     unit_fraction,
 )
-from .generator import Graph, check_threads, format_real, sample_graph
+from .generator import Graph, check_threads, expected_edge_count, format_real, sample_graph
 from .oracle import DEFAULT_WORK_BUDGET, WorkBudgetError
 from .rng import check_seed, splitmix64, substream
 from .tree import TreeParams, VertexSet
@@ -209,41 +209,38 @@ def _run_trials(cfg: ExperimentConfig, measure: Callable, threads: int) -> list[
     """Sample the graph of every (tree height, trial) once, on its trial
     seed, and return `measure(g, trial, seed, started)` for each, where
     `started` is the perf_counter reading taken before sampling.  Results
-    are grouped by tree height, in trial order, at any thread count."""
+    are grouped by tree height, in trial order.  The trials run in order on
+    the calling thread; `threads` is only checked."""
     check_threads(threads)
-    tasks = [
-        (tree_height, trial)
-        for tree_height in cfg.tree_heights
-        for trial in range(cfg.trials)
-    ]
 
-    def run(task: tuple[int, int]):
-        tree_height, trial = task
+    def run(tree_height: int, trial: int):
         started = time.perf_counter()
         seed = cfg.trial_seed(tree_height, trial)
         g = sample_graph(cfg.params_for(tree_height), seed, directed=cfg.directed)
         return measure(g, trial, seed, started)
 
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(task) for task in tasks]
-    return [results[i : i + cfg.trials] for i in range(0, len(results), cfg.trials)]
+    return [[run(tree_height, trial) for trial in range(cfg.trials)]
+            for tree_height in cfg.tree_heights]
+
+
+def _expected_arcs(cfg: ExperimentConfig, tree_height: int) -> int:
+    """The expected number of arcs a sampled graph stores in its CSR: twice
+    `expected_edge_count`, as an undirected edge is stored both ways and a
+    directed pair flips two coins."""
+    return math.ceil(2 * expected_edge_count(cfg.params_for(tree_height)))
 
 
 def _check_sweep_budget(cfg: ExperimentConfig, kind: str, heights: Callable) -> None:
     """Refuse, before any sampling, a run whose scans at `heights(H)` on
-    every tree height H would exceed the work budget."""
+    every tree height H would exceed the work budget.  A scan reads each
+    stored arc and each leaf a bounded number of times."""
     for tree_height in cfg.tree_heights:
-        n = cfg.b**tree_height
-        for h in heights(tree_height):
-            block = cfg.b**h
-            est = (n // block) * (block * (block - 1) // 2 + block) + n
-            if est > cfg.work_budget:
-                raise WorkBudgetError(
-                    est, cfg.work_budget, f"{kind} at H={tree_height}, height={h}"
-                )
+        est = _expected_arcs(cfg, tree_height) + cfg.b**tree_height
+        scanned = heights(tree_height)
+        if scanned and est > cfg.work_budget:
+            raise WorkBudgetError(
+                est, cfg.work_budget, f"{kind} at H={tree_height}, height={scanned[0]}"
+            )
 
 
 def _scan_height(
@@ -473,6 +470,22 @@ class TrendPoint:
     candidates_per_trial: int
 
 
+def _local_block(b: int, m: int) -> int:
+    """The leaf count of the smallest complete sets that hold m leaves."""
+    block = 1
+    while block < m:
+        block *= b
+    return block
+
+
+def _candidate_count(cfg: ExperimentConfig, n: int, m: int) -> int:
+    """An upper bound on the number of sets `_candidate_sets` returns."""
+    if n <= 20:
+        return math.comb(n, m)
+    block = _local_block(cfg.b, m)
+    return n // block * math.comb(block, m) + cfg.candidates
+
+
 def _candidate_sets(
     cfg: ExperimentConfig, params: TreeParams, m: int, seed: int
 ) -> list[tuple[int, ...]]:
@@ -482,10 +495,7 @@ def _candidate_sets(
     n = params.n
     if n <= 20:
         return list(combinations(range(n), m))
-    h_loc = 0
-    while params.b**h_loc < m:
-        h_loc += 1
-    block = params.b**h_loc
+    block = _local_block(params.b, m)
     local: list[tuple[int, ...]] = []
     for root in range(0, n, block):
         for combo in combinations(range(root, root + block), m):
@@ -516,6 +526,13 @@ def trend_sparse_below_mstar(cfg: ExperimentConfig, threads: int = 1) -> list[Tr
             f"size m = {sizes[-1]} below m_star exceeds n = {cfg.b**cfg.h_from} "
             f"at H = {cfg.h_from}, so it has no candidate sets"
         )
+    # the singletons read the CSR; each candidate set of m >= 2 checks its m members
+    for tree_height in cfg.tree_heights:
+        n = cfg.b**tree_height
+        est = _expected_arcs(cfg, tree_height) + sum(
+            m * _candidate_count(cfg, n, m) for m in sizes if m >= 2)
+        if est > cfg.work_budget:
+            raise WorkBudgetError(est, cfg.work_budget, f"trend at H={tree_height}")
     spec = cfg.cluster_spec
     singleton_max = spec.cutoffs(1)[1]
 

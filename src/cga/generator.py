@@ -14,7 +14,8 @@ implementation), then places that many distinct pairs per block uniformly
 via a partial Fisher-Yates over an implicit rank <-> pair bijection.  Work
 is therefore proportional to the number of blocks plus the number of
 edges produced, and the output for a given (params, seed, directed) is
-bit-identical no matter how chunks are scheduled across threads.
+bit-identical whatever order the chunks are drawn in: each reads only its
+own stream.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -32,7 +32,7 @@ import numpy as np
 from .rng import SubstreamSampler, check_seed, substream
 from .tree import TreeParams, pair_height
 
-_BLOCK_CHUNK = 8192  # blocks per worker task and per stream; part of the layout
+_BLOCK_CHUNK = 8192  # blocks per task and per stream; part of the layout
 _INT64_MAX = 2**63 - 1
 _LINES_PER_SLICE = 2**14  # edge-list lines formatted per step
 
@@ -305,7 +305,8 @@ def sample_graph(
     params: TreeParams, seed: int, *, directed: bool = False, threads: int = 1
 ) -> Graph:
     """Draw one graph.  Identical (params, seed, directed) always yields a
-    bit-identical Graph, for any thread count."""
+    bit-identical Graph.  `threads` is checked but does not change how the
+    work runs: every chunk is drawn on the calling thread."""
     check_seed(seed)
     check_threads(threads)
     b, n = params.b, params.n
@@ -317,24 +318,12 @@ def sample_graph(
             f"height-{params.H} blocks hold {top_population} potential "
             f"{'arcs' if directed else 'pairs'}, beyond the sampler's 64-bit range"
         )
-    tasks: list[tuple[int, int, int]] = []
-    for j in range(1, params.H + 1):
-        blocks = n // b**j
-        for lo in range(0, blocks, _BLOCK_CHUNK):
-            tasks.append((j, lo, min(lo + _BLOCK_CHUNK, blocks)))
-
-    def run(task: tuple[int, int, int], sampler: SubstreamSampler) -> np.ndarray:
-        j, lo, hi = task
-        return _sample_blocks(params, seed, directed, j, lo, hi, sampler)
-
-    # a SubstreamSampler serves one thread; building one costs about as much
-    # as sampling a few blocks, so a serial run shares one across its tasks
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda t: run(t, SubstreamSampler()), tasks))
-    else:
-        sampler = SubstreamSampler()
-        chunks = [run(t, sampler) for t in tasks]
+    sampler = SubstreamSampler()
+    chunks = [
+        _sample_blocks(params, seed, directed, j, lo, min(lo + _BLOCK_CHUNK, n // b**j), sampler)
+        for j in range(1, params.H + 1)
+        for lo in range(0, n // b**j, _BLOCK_CHUNK)
+    ]
 
     # rank -> (child pair, offset in the first child, offset in the second),
     # with the arc direction in the lowest digit when directed

@@ -12,8 +12,7 @@ through two published constructions:
   STREAM_SALT, b))`` for a stream label ``(a, b)``.  Both key halves are
   injective in their label coordinate, so distinct labels are guaranteed
   distinct keys.  Philox is counter-based, so a substream's output depends
-  only on its key — generation order and thread assignment cannot change
-  the bytes produced.
+  only on its key — generation order cannot change the bytes produced.
 
 Stream labels used by this package: the graph sampler owns ``(j, k)``
 with height class j >= 1 and chunk index k, one stream for the height-j
@@ -73,7 +72,8 @@ class SubstreamSampler:
     Repositioning rewrites the Philox key and zeroes the counter and output
     buffer, which reproduces exactly the stream of a freshly constructed
     generator with the same key, while avoiding per-stream object
-    construction.  Not thread-safe; use one instance per worker.
+    construction.  Not thread-safe; `sample_graph` builds one per graph and
+    resets it for each chunk.
     """
 
     def __init__(self) -> None:

@@ -370,6 +370,22 @@ class TestExperimentCommand:
         captured = capsys.readouterr()
         assert f"{kind} at H=4" in captured.err and captured.out == ""
 
+    def test_trend_over_budget_exits_4(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SWEEP_CONFIG + "work_budget = 10\n")
+        assert run(["experiment", "trend", "--config", str(cfg_path)]) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert "trend at H=4" in captured.err and captured.out == ""
+
+    def test_xs_at_the_top_height_fits_the_default_budget(self, tmp_path):
+        # one scan of a 2**16-leaf graph reads about 2**19 arcs
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("b = 2\nc = 2\nh_from = 16\nh_to = 16\ntrials = 1\n"
+                            "set_height = 16\n")
+        out = tmp_path / "xs.csv"
+        assert run(["experiment", "xs", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        assert out.read_text().splitlines()[-1].startswith("16,65536,16,1,1,")
+
     def test_trend_size_above_n_exits_2(self, tmp_path, capsys):
         # m_star = 5.8 here, so size 5 is tested, but n = 2 at H = 1
         cfg_path = tmp_path / "exp.cfg"
@@ -424,7 +440,8 @@ def _modules_loaded_by(code: str) -> set[str]:
 class TestImportHygiene:
     """numpy.random and numpy.ma cost start-up time and resident memory, so
     the CLI loads neither before it needs them, and sampling, writing an
-    edge list and an events run never load numpy.ma."""
+    edge list and an events run never load numpy.ma.  No run starts a thread
+    pool or loads concurrent.futures."""
 
     def test_importing_the_cli_loads_neither(self):
         loaded = _modules_loaded_by("import cga.cli")
@@ -446,6 +463,19 @@ class TestImportHygiene:
             "write_edge_list(Graph.from_edges(TreeParams(2, 4, 2.0), [(0, 5)]), os.devnull)\n"
             "write_edge_list(Graph.from_edges(TreeParams(2, 63, 2.0), [(0, 10**9)]), os.devnull)")
         assert "numpy.ma" not in loaded
+
+    def test_threads_start_no_pool(self):
+        # threads is checked, and trials and sampler chunks run on the calling thread
+        loaded = _modules_loaded_by(
+            "import threading\nimport cga.cli\n"
+            "from cga.experiments import ExperimentConfig, run_threshold_sweep\n"
+            "from cga.generator import sample_graph\nfrom cga.tree import TreeParams\n"
+            "cfg = ExperimentConfig(b=2, c=2, h_from=4, h_to=5, trials=3, heights=(1, 2))\n"
+            "assert len(run_threshold_sweep(cfg, threads=2)) == 6\n"
+            # two chunks of blocks at height class 1
+            "assert sample_graph(TreeParams(2, 15, 2.0), 1, threads=2).edge_count > 0\n"
+            "assert threading.active_count() == 1")
+        assert "concurrent.futures" not in loaded
 
     def test_an_events_run_does_not_load_numpy_ma(self):
         loaded = _modules_loaded_by(

@@ -271,6 +271,11 @@ class TestTrend:
         with pytest.raises(ValueError, match=r"m = 5 .* H = 1"):
             trend_sparse_below_mstar(c)
 
+    def test_budget_refusal_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(experiments, "sample_graph", None)  # refused before sampling
+        with pytest.raises(WorkBudgetError, match="trend at H=4"):
+            trend_sparse_below_mstar(cfg(work_budget=10, heights=()))
+
     def test_exhaustive_at_n16_and_bound_value(self):
         c = cfg(trials=30, heights=())
         pts = trend_sparse_below_mstar(c)
