@@ -91,8 +91,8 @@ def threshold_heights(params: TreeParams, epsilon: float) -> ThresholdHeights:
     (ln n)**(1/2 -+ eps) vertices."""
     if params.n < 3:
         raise ValueError("threshold heights require n >= 3")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
+    if not 0 <= epsilon < math.inf:  # refuses NaN too
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     ln_n = math.log(params.n)
     ln_b = math.log(params.b)
     lnln = math.log(ln_n)

@@ -51,6 +51,8 @@ EXIT_IO = 3
 EXIT_BUDGET = 4
 
 THREADS_HELP = "checked (must be >= 1) and kept for compatibility; all work runs on one thread"
+MODE_HELP = ("checked and kept for compatibility: edges are counted by the graph's direction, "
+             "and undirected is refused on a directed graph")
 
 
 def _echo_config(out, pairs) -> None:
@@ -95,7 +97,7 @@ def _parse_set(text: str, params: TreeParams) -> VertexSet:
 
 def cmd_generate(args) -> int:
     params = TreeParams(args.b, args.height, args.c)
-    g = sample_graph(params, args.seed, directed=args.directed, threads=args.threads)
+    g = sample_graph(params, args.seed, directed=args.directed)
     _echo_config(
         sys.stdout,
         [
@@ -114,16 +116,17 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _spec_from_args(args, g) -> ClusterSpec:
-    mode = args.mode
-    if mode is None:
-        mode = "directed-out" if g.directed else "undirected"
-    return ClusterSpec(args.alpha, args.beta, mode)
+def _spec_from_args(args, g) -> tuple[ClusterSpec, str]:
+    """The flags' thresholds, and the mode to echo (by default the graph's direction)."""
+    if args.mode == "undirected" and g.directed:
+        raise ValueError("--mode undirected needs an undirected graph")
+    mode = args.mode or ("directed-out" if g.directed else "undirected")
+    return ClusterSpec(args.alpha, args.beta), mode
 
 
 def cmd_verify(args) -> int:
     g = read_edge_list(args.graph)
-    spec = _spec_from_args(args, g)
+    spec, mode = _spec_from_args(args, g)
     M = _parse_set(args.set, g.params)
     _echo_config(
         sys.stdout,
@@ -133,7 +136,7 @@ def cmd_verify(args) -> int:
             ("set", ",".join(str(v) for v in M.members)),
             ("alpha", spec.alpha),
             ("beta", spec.beta),
-            ("mode", spec.mode),
+            ("mode", mode),
             ("hstar", args.hstar if args.hstar is not None else ""),
         ],
     )
@@ -168,7 +171,7 @@ def _print_cluster_list(result, out) -> None:
 
 def cmd_enumerate(args) -> int:
     g = read_edge_list(args.graph)
-    spec = _spec_from_args(args, g)
+    spec, mode = _spec_from_args(args, g)
     _echo_config(
         sys.stdout,
         [
@@ -176,7 +179,7 @@ def cmd_enumerate(args) -> int:
             ("graph", args.graph),
             ("alpha", spec.alpha),
             ("beta", spec.beta),
-            ("mode", spec.mode),
+            ("mode", mode),
             ("height", args.height),
         ],
     )
@@ -187,7 +190,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = read_edge_list(args.graph)
-    spec = _spec_from_args(args, g)
+    spec, mode = _spec_from_args(args, g)
     budget = args.budget if args.budget is not None else _work_budget()
     _echo_config(
         sys.stdout,
@@ -196,7 +199,7 @@ def cmd_oracle(args) -> int:
             ("graph", args.graph),
             ("alpha", spec.alpha),
             ("beta", spec.beta),
-            ("mode", spec.mode),
+            ("mode", mode),
             ("max_size", args.max_size),
             ("work_budget", budget),
         ],
@@ -206,9 +209,30 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+# bounds flags read only together: once a flag of a group is given, each of
+# the group's needs must be met by one of its flags
+_BOUNDS_GROUPS = (
+    ({"tail_n", "tail_p", "tail_t", "tail_s"}, ({"tail_n"}, {"tail_p"}, {"tail_t", "tail_s"})),
+    ({"mu", "t"}, ({"mu"}, {"t"})),
+    ({"m", "family_size"}, ({"height"}, {"m"})),
+)
+
+
+def _flags(dests, sep: str) -> str:
+    return sep.join("--" + dest.replace("_", "-") for dest in sorted(dests))
+
+
 def cmd_bounds(args) -> int:
+    given = {dest for dest, value in vars(args).items() if value is not None}
+    for group, needs in _BOUNDS_GROUPS:
+        for need in needs:
+            if given & group and not given & need:
+                raise ValueError(f"{_flags(given & group, ' ')} needs {_flags(need, ' or ')}")
     alpha = float(as_fraction(args.alpha, "alpha"))
     ms = bounds_mod.m_star(alpha, args.b, args.c)
+    if args.height is not None:
+        params = TreeParams(args.b, args.height, args.c)
+        hs = bounds_mod.threshold_heights(params, args.epsilon)
     pairs = [
         ("command", "bounds"),
         ("b", args.b),
@@ -223,8 +247,6 @@ def cmd_bounds(args) -> int:
     print(f"m_star={repr(ms)}")
     print(f"gamma={repr(bounds_mod.gamma_constant(alpha, args.b, args.c))}")
     if args.height is not None:
-        params = TreeParams(args.b, args.height, args.c)
-        hs = bounds_mod.threshold_heights(params, args.epsilon)
         print(f"h_star={repr(hs.h_star)}")
         print(f"h_epsilon={repr(hs.h_epsilon)}")
         print(f"tall_height={repr(hs.tall_height)}")
@@ -326,6 +348,8 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         elif key == "measures":
             kwargs[key] = frozenset(tok.strip() for tok in value.split(",") if tok.strip())
         elif key in ("directed", "allow_large"):
+            if int(value) not in (0, 1):
+                raise ValueError(f"config key {key} must be 0 or 1, got {value!r}")
             kwargs[key] = bool(int(value))
         else:
             kwargs[key] = conv(value)
@@ -335,21 +359,21 @@ def load_experiment_config(path: str) -> ExperimentConfig:
 def cmd_experiment(args) -> int:
     cfg = load_experiment_config(args.config)
     if args.kind == "sweep":
-        reports = run_threshold_sweep(cfg, threads=args.threads)
+        reports = run_threshold_sweep(cfg)
         text = sweep_csv(cfg, reports)
     elif args.kind == "events":
         if cfg.set_height is None or cfg.set_size is None:
             raise ValueError("events experiments need set_height and set_size in the config")
         template = SetTemplate(cfg.set_height, cfg.set_size, cfg.placement)
-        estimates = estimate_event_probs(cfg, template, threads=args.threads)
+        estimates = estimate_event_probs(cfg, template)
         text = events_csv(cfg, template, estimates)
     elif args.kind == "trend":
-        points = trend_sparse_below_mstar(cfg, threads=args.threads)
+        points = trend_sparse_below_mstar(cfg)
         text = trend_csv(cfg, points)
     elif args.kind == "xs":
         if cfg.set_height is None:
             raise ValueError("xs experiments need set_height in the config")
-        stats = xs_statistics(cfg, cfg.set_height, threads=args.threads)
+        stats = xs_statistics(cfg, cfg.set_height)
         text = xs_csv(cfg, stats)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown experiment kind {args.kind!r}")
@@ -385,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--hstar", type=int, default=None)
-    p.add_argument("--mode", choices=["undirected", "directed-out"], default=None)
+    p.add_argument("--mode", choices=["undirected", "directed-out"], default=None, help=MODE_HELP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="list complete clusters at one height")
@@ -393,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--mode", choices=["undirected", "directed-out"], default=None)
+    p.add_argument("--mode", choices=["undirected", "directed-out"], default=None, help=MODE_HELP)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("oracle", help="list every cluster up to a size cap (exhaustive)")
@@ -402,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
     p.add_argument("--max-size", type=int, required=True, dest="max_size")
     p.add_argument("--budget", type=_at_least(0), default=None, help="work budget override")
-    p.add_argument("--mode", choices=["undirected", "directed-out"], default=None)
+    p.add_argument("--mode", choices=["undirected", "directed-out"], default=None, help=MODE_HELP)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bounds", help="evaluate the closed-form constants and bounds")

@@ -2,10 +2,11 @@
 
 A set M is internally dense when every member has at least beta*|M| edges
 into M, and externally sparse when every non-member has at most alpha*|M|
-edges into M; a cluster is both.  The sparseness condition splits into
-three events over a partition of the complement: E1 over S(M) \\ M (the
-rest of M's minimal complete set), E2 over S(M, h*) \\ S(M), and E3 over
-the rest of the graph, for any admissible splitting height h*.
+edges into M; a cluster is both.  On a directed graph e(u, M), the edges
+of u into M, counts the arcs from u into M.  The sparseness condition
+splits into three events over a partition of the complement: E1 over
+S(M) \\ M (the rest of M's minimal complete set), E2 over S(M, h*) \\ S(M),
+and E3 over the rest of the graph, for any admissible splitting height h*.
 
 Thresholds alpha*|M| and beta*|M| become exact integer cut-offs once per
 set size (`ClusterSpec.cutoffs`), so boundary cases like 1 >= 0.5 * 2 never
@@ -23,16 +24,14 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from typing import Literal, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .generator import Graph
 from .tree import TreeParams, VertexSet
-
-Mode = Literal["undirected", "directed-out"]
 
 SHORT_THICK = "short-thick"
 TALL_THICK = "tall-thick"
@@ -77,17 +76,17 @@ def unit_fraction(x, name: str) -> Fraction:
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    """Density/sparseness parameters and the edge-direction convention."""
+    """Density and sparseness thresholds; the graph's direction decides how edges count."""
 
     alpha: Fraction
     beta: Fraction
-    mode: Mode = "undirected"
+    mode: InitVar[str | None] = None  # a direction name, checked and dropped
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, mode: str | None) -> None:
         object.__setattr__(self, "alpha", unit_fraction(self.alpha, "alpha"))
         object.__setattr__(self, "beta", unit_fraction(self.beta, "beta"))
-        if self.mode not in ("undirected", "directed-out"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if mode not in (None, "undirected", "directed-out"):
+            raise ValueError(f"unknown mode {mode!r}")
 
     def cutoffs(self, m: int) -> tuple[int, int]:
         """(dense_min, sparse_max) = (ceil(beta*m), floor(alpha*m)): an edge
@@ -136,35 +135,26 @@ def _as_set(M, g: Graph) -> VertexSet:
     return VertexSet.from_leaves(M, g.params)
 
 
-def _check_mode(g: Graph, mode: Mode) -> None:
-    if mode == "undirected" and g.directed:
-        raise ValueError("undirected verification requires an undirected graph")
-    if mode not in ("undirected", "directed-out"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-
-def edges_to_set(v: int, M, g: Graph, mode: Mode = "undirected") -> int:
-    """Number of edges between v and M (arcs from v into M in directed-out
-    mode), never counting v itself."""
-    _, counts = _incoming_counts(M, g, mode, "edge count against")
+def edges_to_set(v: int, M, g: Graph) -> int:
+    """Number of edges between v and M (arcs from v into M on a directed
+    graph), never counting v itself."""
+    _, counts = _incoming_counts(M, g, "edge count against")
     return counts.get(v, 0)
 
 
-def _incoming_counts(M, g: Graph, mode: Mode, what: str) -> tuple[VertexSet, dict[int, int]]:
+def _incoming_counts(M, g: Graph, what: str) -> tuple[VertexSet, dict[int, int]]:
     """M as a VertexSet, and edges_to_set(u, M) for every u with at least
     one edge (arc) into M, members included; vertices absent from the map
     have count 0.  `what` words the error for an empty M."""
-    _check_mode(g, mode)
     M = _as_set(M, g)
     if not M.members:
         raise ValueError(f"{what} the empty set is undefined")
-    csr = g.in_csr if (mode == "directed-out" and g.directed) else g.csr
-    return M, Counter(csr.gather(M.members))
+    return M, Counter(g.in_csr.gather(M.members))
 
 
 def is_internally_dense(M, g: Graph, spec: ClusterSpec) -> bool:
     """True when every member v of M has edges_to_set(v, M) >= beta * |M|."""
-    M, counts = _incoming_counts(M, g, spec.mode, "density of")
+    M, counts = _incoming_counts(M, g, "density of")
     dense_min, _ = spec.cutoffs(len(M))
     return all(counts.get(v, 0) >= dense_min for v in M.members)
 
@@ -176,7 +166,7 @@ def is_externally_sparse(M, g: Graph, spec: ClusterSpec) -> bool:
     (alpha > 0), so the scan touches edges incident to M, not all n
     vertices.
     """
-    M, counts = _incoming_counts(M, g, spec.mode, "sparseness of")
+    M, counts = _incoming_counts(M, g, "sparseness of")
     _, sparse_max = spec.cutoffs(len(M))
     ms = M.member_set
     return all(cnt <= sparse_max for u, cnt in counts.items() if u not in ms)
@@ -195,7 +185,7 @@ def event_report(M, g: Graph, spec: ClusterSpec, h_star: int) -> EventReport:
     the graph; their conjunction is exactly external sparseness for any
     set_height(M) <= h_star <= H.
     """
-    M, counts = _incoming_counts(M, g, spec.mode, "event report for")
+    M, counts = _incoming_counts(M, g, "event report for")
     p = g.params
     if not M.height <= h_star <= p.H:
         raise ValueError(
@@ -270,7 +260,6 @@ def complete_set_scan(g: Graph, spec: ClusterSpec, h: int, h_star: int,
     offsets (ascending; by default the whole block) in every complete height-h
     set, from one pass over the arcs.  Set by set it agrees with
     `internal_edge_count` and `event_report`, the path that names witnesses."""
-    _check_mode(g, spec.mode)
     p = g.params
     if not 0 <= h <= p.H:
         raise ValueError(f"height must lie in [0, {p.H}], got {h}")
@@ -317,14 +306,12 @@ def complete_set_scan(g: Graph, spec: ClusterSpec, h: int, h_star: int,
     return CompleteSetScan(internal, dense, e1, e2, e3)
 
 
-def sparse_core(M, g: Graph, fraction, mode: Mode | None = None) -> VertexSet:
+def sparse_core(M, g: Graph, fraction) -> VertexSet:
     """The members of M with at most fraction * |M| edges into M.
 
     May be empty.  Shrinks weakly as the fraction decreases.
     """
-    if mode is None:
-        mode = "directed-out" if g.directed else "undirected"
-    M, counts = _incoming_counts(M, g, mode, "sparse core of")
+    M, counts = _incoming_counts(M, g, "sparse core of")
     limit = math.floor(unit_fraction(fraction, "fraction") * len(M))
     kept = [v for v in M.members if counts.get(v, 0) <= limit]
     return VertexSet.from_leaves(kept, g.params)

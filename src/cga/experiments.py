@@ -4,8 +4,7 @@ Trials derive their graph seeds from the experiment master seed through
 SplitMix64: the trial at position i of the sweep (position = tree-height
 index * trials + trial index) uses splitmix64(master_seed, i).  Every
 estimator here is a pure function of its config, so reruns reproduce
-identical output bytes.  Trials run in order on the calling thread; the
-`threads` argument of each entry point is checked and changes nothing else.
+identical output bytes.  Trials run in order on the calling thread.
 
 Sweep CSV format (one row per trial and scanned height, after `# key=value`
 comment lines echoing the full resolved config):
@@ -34,7 +33,7 @@ from .clusters import (
     is_externally_sparse,
     unit_fraction,
 )
-from .generator import Graph, check_threads, expected_edge_count, format_real, sample_graph
+from .generator import Graph, expected_edge_count, format_real, sample_graph
 from .oracle import DEFAULT_WORK_BUDGET, WorkBudgetError
 from .rng import check_seed, splitmix64, substream
 from .tree import TreeParams, VertexSet
@@ -86,6 +85,8 @@ class ExperimentConfig:
         object.__setattr__(self, "measures", frozenset(self.measures))
         check_seed(self.seed)
         _check_placement(self.placement)
+        if self.epsilon is not None and not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         for name in ("candidates", "work_budget"):
@@ -132,8 +133,7 @@ class ExperimentConfig:
 
     @property
     def cluster_spec(self) -> ClusterSpec:
-        mode = "directed-out" if self.directed else "undirected"
-        return ClusterSpec(self.alpha, self.beta, mode)
+        return ClusterSpec(self.alpha, self.beta)
 
     def trial_seed(self, tree_height: int, trial: int) -> int:
         idx = list(self.tree_heights).index(tree_height) * self.trials + trial
@@ -205,13 +205,11 @@ class TrialReport:
     wall_ms: float = field(default=0.0, compare=False)
 
 
-def _run_trials(cfg: ExperimentConfig, measure: Callable, threads: int) -> list[list]:
+def _run_trials(cfg: ExperimentConfig, measure: Callable) -> list[list]:
     """Sample the graph of every (tree height, trial) once, on its trial
     seed, and return `measure(g, trial, seed, started)` for each, where
     `started` is the perf_counter reading taken before sampling.  Results
-    are grouped by tree height, in trial order.  The trials run in order on
-    the calling thread; `threads` is only checked."""
-    check_threads(threads)
+    are grouped by tree height, in trial order."""
 
     def run(tree_height: int, trial: int):
         started = time.perf_counter()
@@ -267,7 +265,7 @@ def _scan_height(
     )
 
 
-def run_threshold_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[TrialReport]:
+def run_threshold_sweep(cfg: ExperimentConfig) -> list[TrialReport]:
     """Sample trials across the configured tree heights and scan every
     requested height for cliques, dense complete sets, complete clusters,
     event rates and internal-edge statistics."""
@@ -290,7 +288,7 @@ def run_threshold_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[TrialRe
             wall_ms=(time.perf_counter() - started) * 1e3,
         )
 
-    return [rep for group in _run_trials(cfg, measure, threads) for rep in group]
+    return [rep for group in _run_trials(cfg, measure) for rep in group]
 
 
 def _fmt(value) -> str:
@@ -382,9 +380,7 @@ class EventProbEstimate:
 EVENT_KEYS = ("D", "E1", "E2", "E3", "all")
 
 
-def estimate_event_probs(
-    cfg: ExperimentConfig, template: SetTemplate, threads: int = 1
-) -> list[EventProbEstimate]:
+def estimate_event_probs(cfg: ExperimentConfig, template: SetTemplate) -> list[EventProbEstimate]:
     """Place one probe set per splitting block per trial and measure the
     frequency of each density/sparseness event, from one scan per trial."""
     spec = cfg.cluster_spec
@@ -399,7 +395,7 @@ def estimate_event_probs(
         return [int(a.sum()) for a in (scan.dense, scan.e1, scan.e2, scan.e3, scan.cluster)]
 
     results = []
-    for tree_height, tallies in zip(cfg.tree_heights, _run_trials(cfg, measure, threads)):
+    for tree_height, tallies in zip(cfg.tree_heights, _run_trials(cfg, measure)):
         params = cfg.params_for(tree_height)
         probes = params.n // params.b ** h_stars[tree_height]
         totals = [sum(t[i] for t in tallies) for i in range(len(EVENT_KEYS))]
@@ -512,7 +508,7 @@ def _candidate_sets(
     return local
 
 
-def trend_sparse_below_mstar(cfg: ExperimentConfig, threads: int = 1) -> list[TrendPoint]:
+def trend_sparse_below_mstar(cfg: ExperimentConfig) -> list[TrendPoint]:
     """For every integer size m below the threshold size, measure how often
     externally sparse sets of that size occur, per tree height."""
     ms = m_star(cfg.alpha, cfg.b, cfg.c)
@@ -554,7 +550,7 @@ def trend_sparse_below_mstar(cfg: ExperimentConfig, threads: int = 1) -> list[Tr
         return tally
 
     points = []
-    for tree_height, tallies in zip(cfg.tree_heights, _run_trials(cfg, measure, threads)):
+    for tree_height, tallies in zip(cfg.tree_heights, _run_trials(cfg, measure)):
         n = cfg.b**tree_height
         for m, outcomes in zip(sizes, zip(*tallies)):
             total_found = sum(o[0] for o in outcomes)
@@ -615,7 +611,7 @@ class XsStats:
     analytic_mean: float
 
 
-def xs_statistics(cfg: ExperimentConfig, h: int, threads: int = 1) -> list[XsStats]:
+def xs_statistics(cfg: ExperimentConfig, h: int) -> list[XsStats]:
     """Internal edge counts over all complete height-h sets of every
     trial, per tree height."""
     if not 0 <= h <= cfg.h_from:
@@ -626,7 +622,7 @@ def xs_statistics(cfg: ExperimentConfig, h: int, threads: int = 1) -> list[XsSta
         return complete_set_scan(g, cfg.cluster_spec, h, g.params.H).internal.tolist()
 
     results = []
-    for tree_height, per_trial in zip(cfg.tree_heights, _run_trials(cfg, measure, threads)):
+    for tree_height, per_trial in zip(cfg.tree_heights, _run_trials(cfg, measure)):
         params = cfg.params_for(tree_height)
         xs = [x for counts in per_trial for x in counts]
         count = len(xs)

@@ -293,22 +293,10 @@ def _sample_blocks(
     return out
 
 
-def check_threads(threads: int) -> None:
-    """A ValueError unless `threads` is an int of at least 1."""
-    if not isinstance(threads, int) or isinstance(threads, bool):
-        raise ValueError(f"threads must be an int, got {threads!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-
-def sample_graph(
-    params: TreeParams, seed: int, *, directed: bool = False, threads: int = 1
-) -> Graph:
+def sample_graph(params: TreeParams, seed: int, *, directed: bool = False) -> Graph:
     """Draw one graph.  Identical (params, seed, directed) always yields a
-    bit-identical Graph.  `threads` is checked but does not change how the
-    work runs: every chunk is drawn on the calling thread."""
+    bit-identical Graph; the chunks are drawn in order on the calling thread."""
     check_seed(seed)
-    check_threads(threads)
     b, n = params.b, params.n
     # per-block pair populations must fit the binomial sampler's int64 range,
     # and so must a chunk's keys for finding repeated draws

@@ -49,15 +49,9 @@ def splitmix64(seed: int, index: int = 0) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def substream_key(seed: int, a: int, b: int) -> tuple[int, int]:
-    """The Philox key of stream label (a, b) under the given master seed."""
-    return splitmix64(seed, a), splitmix64(seed ^ STREAM_SALT, b)
-
-
 def substream(seed: int, a: int, b: int) -> np.random.Generator:
     """A fresh generator positioned at the start of stream label (a, b)."""
-    k0, k1 = substream_key(seed, a, b)
-    return np.random.Generator(np.random.Philox(key=(k0 << 64) | k1))
+    return SubstreamSampler().reset(seed, a, b)
 
 
 @lru_cache(maxsize=None)
@@ -90,7 +84,7 @@ class SubstreamSampler:
         self._k0 = 0
 
     def reset(self, seed: int, a: int, b: int) -> np.random.Generator:
-        if self._label != (seed, a):  # k0, k1 = substream_key(seed, a, b)
+        if self._label != (seed, a):  # the key (k0, k1) of the module docstring
             self._label, self._k0 = (seed, a), splitmix64(seed, a)
         self._key[0] = splitmix64(seed ^ STREAM_SALT, b)  # numpy stores the low word first
         self._key[1] = self._k0

@@ -28,7 +28,7 @@ from cga.clusters import (
     is_cluster,
     is_externally_sparse,
 )
-from cga.experiments import ExperimentConfig, run_threshold_sweep, sweep_csv, trend_sparse_below_mstar
+from cga.experiments import ExperimentConfig, trend_sparse_below_mstar
 from cga.generator import expected_edge_count, sample_graph
 from cga.oracle import enumerate_clusters, enumerate_complete_clusters
 from cga.rng import splitmix64, substream
@@ -292,13 +292,16 @@ def test_c10_determinism_across_threads(tmp_path):
         )
         assert code == 0
         edge_bytes.add(out.read_bytes())
-    cfg = ExperimentConfig(
-        b=2, c=2.0, h_from=4, h_to=5, alpha="0.5", beta="0.5",
-        trials=8, seed=21, heights=(0, 1, 2),
-    )
-    csv_bytes = {
-        sweep_csv(cfg, run_threshold_sweep(cfg, threads=t)).encode() for t in (1, 2, 8)
-    }
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text("b=2\nc=2\nh_from=4\nh_to=5\nalpha=0.5\nbeta=0.5\n"
+                        "trials=8\nseed=21\nheights=0,1,2\n")
+    csv_bytes = set()
+    for t in (1, 2, 8):
+        out = tmp_path / f"sweep{t}.csv"
+        code = cli_main(["experiment", "sweep", "--config", str(cfg_path),
+                         "--threads", str(t), "--out", str(out)])
+        assert code == 0
+        csv_bytes.add(out.read_bytes())
     ok = len(edge_bytes) == 1 and len(csv_bytes) == 1
     report(
         10,

@@ -85,6 +85,9 @@ class TestThresholdHeights:
     def test_domain(self):
         with pytest.raises(ValueError):
             threshold_heights(TreeParams(2, 1, 2.0), 0.1)
+        for eps in (-0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+                threshold_heights(TreeParams(2, 5, 2.0), eps)
 
 
 class TestCliqueCountLowerBound:

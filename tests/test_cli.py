@@ -132,6 +132,19 @@ class TestVerify:
         assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--set", "0,1"], ["enumerate", "--height", "1"], ["oracle", "--max-size", "2"]])
+def test_mode_must_match_the_graph(tmp_path, capsys, command):
+    path = tmp_path / "g.el"
+    path.write_text(SINGLE_EDGE.replace("directed=0", "directed=1"))
+    argv = [*command, "--graph", str(path), "--alpha", "0.5", "--beta", "0.5"]
+    assert run([*argv, "--mode", "undirected"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--mode undirected" in captured.err
+    run(argv)
+    assert "# mode=directed-out\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("value", ["1/0", "1e-9999999"])
 def test_bad_alpha_or_beta_flag_exits_2(edge_file, capsys, value):
     # a zero denominator used to escape as ZeroDivisionError (exit 1), and
@@ -221,6 +234,31 @@ class TestBounds:
         for key in ("h_star=", "h_epsilon=", "tall_height=",
                     "exact_clique_probability=", "cluster_count_guarantee="):
             assert key in out
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--tail-n", "10", "--tail-t", "2"], "--tail-n --tail-t needs --tail-p"),
+        (["--tail-n", "10", "--tail-s", "4"], "needs --tail-p"),
+        (["--tail-t", "2", "--tail-p", "0.1"], "needs --tail-n"),
+        (["--tail-s", "4"], "needs --tail-n"),
+        (["--tail-n", "10", "--tail-p", "0.1"], "needs --tail-s or --tail-t"),
+        (["--mu", "10"], "--mu needs --t"),
+        (["--t", "5"], "--t needs --mu"),
+        (["--m", "4"], "--m needs --height"),
+        (["--height", "4", "--family-size", "9"], "--family-size needs --m"),
+    ])
+    def test_incomplete_flag_group_exits_2(self, capsys, flags, named):
+        code = run(["bounds", "--b", "2", "--c", "2", "--alpha", "0.5", *flags])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.5"])
+    def test_bad_epsilon_exits_2(self, capsys, epsilon):
+        code = run(["bounds", "--b", "2", "--c", "2", "--alpha", "0.5",
+                    "--epsilon", epsilon, "--height", "5"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "epsilon must be finite and >= 0" in captured.err
 
     def test_tail_and_janson(self, capsys):
         code = run(["bounds", "--b", "2", "--c", "2", "--alpha", "0.5",
@@ -361,6 +399,25 @@ class TestExperimentCommand:
         assert run(["experiment", "sweep", "--config", str(cfg_path)]) == EXIT_USAGE
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,named", [
+        ("epsilon = inf", "epsilon must be finite and >= 0, got inf"),
+        ("epsilon = nan", "epsilon must be finite and >= 0, got nan"),
+        ("epsilon = -0.5", "epsilon must be finite and >= 0, got -0.5"),
+        ("directed = 7", "directed must be 0 or 1, got '7'"),
+        ("allow_large = 2", "allow_large must be 0 or 1, got '2'"),
+    ])
+    def test_bad_value_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                               line, named):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a graph")
+
+        monkeypatch.setattr(experiments, "sample_graph", no_sampling)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"{SWEEP_CONFIG}{line}\n")
+        assert run(["experiment", "sweep", "--config", str(cfg_path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err
+
     @pytest.mark.parametrize("kind,extra", [
         ("events", "set_height = 1\nset_size = 2\n"), ("xs", "set_height = 1\n")])
     def test_events_and_xs_over_budget_exit_4(self, tmp_path, capsys, kind, extra):
@@ -465,15 +522,15 @@ class TestImportHygiene:
         assert "numpy.ma" not in loaded
 
     def test_threads_start_no_pool(self):
-        # threads is checked, and trials and sampler chunks run on the calling thread
+        # trials and sampler chunks run on the calling thread
         loaded = _modules_loaded_by(
             "import threading\nimport cga.cli\n"
             "from cga.experiments import ExperimentConfig, run_threshold_sweep\n"
             "from cga.generator import sample_graph\nfrom cga.tree import TreeParams\n"
             "cfg = ExperimentConfig(b=2, c=2, h_from=4, h_to=5, trials=3, heights=(1, 2))\n"
-            "assert len(run_threshold_sweep(cfg, threads=2)) == 6\n"
+            "assert len(run_threshold_sweep(cfg)) == 6\n"
             # two chunks of blocks at height class 1
-            "assert sample_graph(TreeParams(2, 15, 2.0), 1, threads=2).edge_count > 0\n"
+            "assert sample_graph(TreeParams(2, 15, 2.0), 1).edge_count > 0\n"
             "assert threading.active_count() == 1")
         assert "concurrent.futures" not in loaded
 

@@ -51,6 +51,8 @@ class TestClusterSpec:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             ClusterSpec("0.5", "0.5", "directed-in")
+        # a known direction name is accepted and not kept
+        assert ClusterSpec("0.5", "0.5", "directed-out") == ClusterSpec("0.5", "0.5")
 
     def test_cutoffs_are_exact_integer_thresholds(self):
         for alpha, beta in product(["1/3", "0.499", "0.5", "0.501", "1"], repeat=2):
@@ -82,12 +84,10 @@ class TestEdgesToSet:
         empty = graph(P22, [])
         assert edges_to_set(3, [0, 1], empty) == 0
 
-    def test_undirected_mode_rejected_on_directed_graph(self):
+    def test_directed_graph_counts_arcs_into_the_set(self):
         g = graph(P22, [(0, 1)], directed=True)
-        with pytest.raises(ValueError):
-            edges_to_set(0, [1], g, "undirected")
-        assert edges_to_set(0, [1], g, "directed-out") == 1
-        assert edges_to_set(1, [0], g, "directed-out") == 0
+        assert edges_to_set(0, [1], g) == 1
+        assert edges_to_set(1, [0], g) == 0
 
 
 class TestInternallyDense:
@@ -153,11 +153,10 @@ class TestIsCluster:
             [(u, v) for u, v in und.edges()] + [(v, u) for u, v in und.edges()],
             directed=True,
         )
-        spec_d = ClusterSpec("0.5", "0.5", "directed-out")
         rng = random.Random(5)
         for _ in range(50):
             members = rng.sample(range(16), rng.randint(1, 6))
-            assert is_cluster(members, und, HALF) == is_cluster(members, mirrored, spec_d)
+            assert is_cluster(members, und, HALF) == is_cluster(members, mirrored, HALF)
 
 
 class TestEventReport:
@@ -269,9 +268,8 @@ class TestCompleteSetScan:
             [(2, 4), (3, 2)], [False, True], [1.1, 1.8], [1, 2]
         ):
             g = sample_graph(TreeParams(b, H, c), seed, directed=directed)
-            modes = ["directed-out"] if directed else ["undirected", "directed-out"]
-            for mode, alpha, beta in product(modes, alphas, betas):
-                spec = ClusterSpec(alpha, beta, mode)
+            for alpha, beta in product(alphas, betas):
+                spec = ClusterSpec(alpha, beta)
                 for h in range(H + 1):
                     block = b**h
                     sets = [range(r, r + block) for r in range(0, b**H, block)]
@@ -293,21 +291,18 @@ class TestCompleteSetScan:
                                      ("cluster", rep.is_cluster)}
         assert len(seen) == 8  # every event both held and failed somewhere
 
-    def test_rejects_bad_heights_and_mode(self):
+    def test_rejects_bad_heights(self):
         g = sample_graph(P23, 9)
         for h, h_star in [(-1, 2), (4, 4), (2, 1), (1, 4)]:
             with pytest.raises(ValueError):
                 complete_set_scan(g, HALF, h, h_star)
-        with pytest.raises(ValueError):
-            complete_set_scan(sample_graph(P23, 9, directed=True), HALF, 1, 2)
 
     def test_repeated_scans_leave_the_graph_unchanged(self):
         for directed in (False, True):
             g = sample_graph(TreeParams(2, 6, 1.8), 4, directed=directed)
-            spec = ClusterSpec("0.5", "0.5", "directed-out" if directed else "undirected")
             before = list(g.edges())
-            first = complete_set_scan(g, spec, 2, 3)
-            second = complete_set_scan(g, spec, 2, 3)
+            first = complete_set_scan(g, HALF, 2, 3)
+            second = complete_set_scan(g, HALF, 2, 3)
             assert all(np.array_equal(a, b) for a, b in zip(first, second))
             assert list(g.edges()) == before
 
@@ -347,10 +342,8 @@ def test_offset_scan_agrees_with_event_report_and_definition_oracle(data):
     b = data.draw(st.sampled_from([2, 3]), label="b")
     H = data.draw(st.integers(1, 4 if b == 2 else 3), label="H")
     directed = data.draw(st.booleans(), label="directed")
-    mode = "directed-out" if directed else data.draw(
-        st.sampled_from(["undirected", "directed-out"]), label="mode")
     alpha, beta = data.draw(st.sampled_from(RATIOS)), data.draw(st.sampled_from(RATIOS))
-    spec = ClusterSpec(alpha, beta, mode)
+    spec = ClusterSpec(alpha, beta)
     g = sample_graph(TreeParams(b, H, data.draw(st.sampled_from([1.1, 1.5, 2.0]))),
                      data.draw(st.integers(0, 2**16)), directed=directed)
     h = data.draw(st.integers(0, H), label="h")

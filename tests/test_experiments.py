@@ -48,7 +48,8 @@ class TestConfig:
             cfg(measures=frozenset({"nope"}))
         for bad in (dict(seed=-1), dict(seed=2**64), dict(candidates=-1),
                     dict(work_budget=-1), dict(placement="middle"), dict(alpha="3/2"),
-                    dict(beta=0)):
+                    dict(beta=0), dict(epsilon=-0.5), dict(epsilon=math.inf),
+                    dict(epsilon=math.nan)):
             with pytest.raises(ValueError):
                 cfg(**bad)
         with pytest.raises(ValueError):
@@ -96,12 +97,6 @@ class TestSweep:
     def test_deterministic_reruns(self):
         c = cfg(trials=2)
         assert run_threshold_sweep(c) == run_threshold_sweep(c)
-
-    def test_thread_count_does_not_change_reports(self):
-        c = cfg(trials=6)
-        base = run_threshold_sweep(c, threads=1)
-        assert base == run_threshold_sweep(c, threads=2)
-        assert base == run_threshold_sweep(c, threads=8)
 
     def test_singletons_never_cluster(self):
         for rep in run_threshold_sweep(cfg(trials=5)):
@@ -157,13 +152,6 @@ class TestSweepCsv:
             assert cells[11] == ""  # dense_complete missing, not zero
             assert cells[19] == ""  # wall_ms off by default
 
-    def test_byte_identical_across_threads(self):
-        c = cfg(trials=6)
-        texts = {
-            sweep_csv(c, run_threshold_sweep(c, threads=t)) for t in (1, 2, 8)
-        }
-        assert len(texts) == 1
-
 
 class TestEventProbs:
     def test_complete_set_alpha_one_e1_is_one(self):
@@ -216,7 +204,6 @@ class TestEventProbs:
         single = place_set(SetTemplate(height=0, size=1), 8, p)
         assert single.members == (8,)
 
-    @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("config,template", [
         (dict(), SetTemplate(height=1, size=2)),
         (dict(h_from=5, h_to=6, h_star=None), SetTemplate(height=2, size=3)),
@@ -225,10 +212,10 @@ class TestEventProbs:
         (dict(h_from=5, h_to=5, h_star=3), SetTemplate(height=3, size=2, placement="left")),
         (dict(directed=True, alpha="0.3", beta="0.3"), SetTemplate(height=2, size=3)),
     ], ids=["spread", "resolved-h-star", "b3", "left", "left-below-template", "directed"])
-    def test_counts_match_a_per_probe_event_report_loop(self, config, template, threads):
+    def test_counts_match_a_per_probe_event_report_loop(self, config, template):
         c = cfg(**{"h_star": 2, "trials": 4, "heights": (), **config})
         spec = c.cluster_spec
-        for est in estimate_event_probs(c, template, threads=threads):
+        for est in estimate_event_probs(c, template):
             params = c.params_for(est.tree_height)
             counts = dict.fromkeys(EVENT_KEYS, 0)
             for trial in range(c.trials):
@@ -424,20 +411,3 @@ class TestXsStatistics:
         text = xs_csv(c, xs_statistics(c, 1))
         lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert lines[0] == "H,n,h,trials,observations,emp_mean,emp_var,analytic_mean"
-
-
-@pytest.mark.parametrize("run", [
-    lambda c, threads: run_threshold_sweep(c, threads=threads),
-    lambda c, threads: estimate_event_probs(c, SetTemplate(height=1, size=2), threads=threads),
-    lambda c, threads: trend_sparse_below_mstar(c, threads=threads),
-    lambda c, threads: xs_statistics(c, 1, threads=threads),
-], ids=["sweep", "events", "trend", "xs"])
-@pytest.mark.parametrize("threads", [-3, 0, 1.5])
-def test_thread_count_refused_before_sampling(run, threads, monkeypatch):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled a graph")
-
-    monkeypatch.setattr(experiments, "sample_graph", no_sampling)
-    message = "must be an int" if isinstance(threads, float) else f"must be >= 1, got {threads}"
-    with pytest.raises(ValueError, match=message):
-        run(cfg(trials=1), threads)

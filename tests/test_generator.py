@@ -64,24 +64,9 @@ class TestSampling:
         p = TreeParams(2, 5, 2.0)
         assert sample_graph(p, 99) == sample_graph(p, 99)
 
-    @pytest.mark.parametrize("threads", [2, 8])
-    def test_thread_count_does_not_change_graph(self, threads):
-        p = TreeParams(2, 6, 2.0)
-        assert sample_graph(p, 1234) == sample_graph(p, 1234, threads=threads)
-
     def test_different_seeds_differ(self):
         p = TreeParams(2, 6, 2.0)
         assert sample_graph(p, 1) != sample_graph(p, 2)
-
-    @pytest.mark.parametrize("threads", [-3, 0])
-    def test_thread_count_below_one_is_refused(self, threads):
-        with pytest.raises(ValueError, match=f"must be >= 1, got {threads}"):
-            sample_graph(TreeParams(2, 5, 2.0), 1, threads=threads)
-
-    @pytest.mark.parametrize("threads", [2.0, "2", True, None])
-    def test_thread_count_must_be_an_int(self, threads):
-        with pytest.raises(ValueError, match="threads must be an int"):
-            sample_graph(TreeParams(2, 5, 2.0), 1, threads=threads)
 
     @given(seed=st.integers(0, 2**64 - 1))
     @settings(max_examples=25, deadline=None)
@@ -208,15 +193,14 @@ EDGE_LIST_DIGESTS = [
 
 
 class TestEdgeListDigests:
-    @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize(
         "bhc,directed,seed,digest",
         EDGE_LIST_DIGESTS,
         ids=[f"b{b}-H{H}-c{c:g}-{'directed' if d else 'undirected'}"
              for (b, H, c), d, _, _ in EDGE_LIST_DIGESTS],
     )
-    def test_pinned_digest(self, bhc, directed, seed, digest, threads):
-        g = sample_graph(TreeParams(*bhc), seed, directed=directed, threads=threads)
+    def test_pinned_digest(self, bhc, directed, seed, digest):
+        g = sample_graph(TreeParams(*bhc), seed, directed=directed)
         assert hashlib.sha256(edge_list_text(g).encode()).hexdigest() == digest
 
 
@@ -623,11 +607,3 @@ class TestChunkLayout:
         params = TreeParams(2, 20, 2 ** ((2 * j - 2 - math.log2(mean)) / j))
         for seed in range(6):
             _check_class_against_reference(params, seed, directed, j)
-
-    @pytest.mark.parametrize("threads", [2, 8])
-    def test_thread_count_does_not_change_graphs_of_two_chunks(self, threads):
-        # H = 15: height 1 spans two tasks
-        for directed in (False, True):
-            p = TreeParams(2, 15, 2.0)
-            assert (sample_graph(p, 77, directed=directed, threads=threads)
-                    == sample_graph(p, 77, directed=directed))
