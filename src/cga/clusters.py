@@ -323,12 +323,12 @@ def classify_thick(M, params: TreeParams, epsilon: float) -> str:
     Short: height <= (1/2 + eps) * ln ln n / ln b and size >=
     (ln n)**(1/2 + eps/3).  Tall: height <= sqrt(ln n) / ln b and size >=
     (ln n)**(1/2 + eps/2).  Thresholds stay real-valued; integer heights
-    are compared against them directly.  Requires n >= 3 and eps > 0.
+    are compared against them directly.  Requires n >= 3 and a finite eps > 0.
     """
     if params.n < 3:
         raise ValueError("thick-set thresholds require n >= 3")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
     if isinstance(M, VertexSet):
         height, size = M.height, len(M.members)
     else:

@@ -87,6 +87,10 @@ class ExperimentConfig:
         _check_placement(self.placement)
         if self.epsilon is not None and not 0 <= self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+        for name in ("directed", "allow_large"):
+            if getattr(self, name) not in (0, 1):  # False and True compare equal to 0 and 1
+                raise ValueError(f"{name} must be 0 or 1, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, bool(getattr(self, name)))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         for name in ("candidates", "work_budget"):

@@ -78,14 +78,16 @@ class TestGenerate:
         loaded = read_edge_list(out)
         assert loaded == sample_graph(TreeParams(2, 5, 2.0), 42)
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("threads", ["0", "-3", "1.5"])
     def test_thread_count_below_one_exits_2(self, tmp_path, capsys, threads):
         out = tmp_path / "g.el"
         with pytest.raises(SystemExit) as exc:
             run(["generate", "--b", "2", "--height", "3", "--c", "2",
                  "--seed", "1", "--out", str(out), "--threads", threads])
         assert exc.value.code == EXIT_USAGE
-        assert f"--threads: must be >= 1, got {threads}" in capsys.readouterr().err
+        message = ("invalid integer value: '1.5'" if threads == "1.5"
+                   else f"must be >= 1, got {threads}")
+        assert f"--threads: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -348,15 +350,23 @@ class TestExperimentCommand:
             outputs.add(out.read_bytes())
         assert len(outputs) == 1
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_thread_count_below_one_exits_2(self, tmp_path, capsys, threads):
+    @pytest.mark.parametrize("kind", ["sweep", "events", "trend", "xs"])
+    @pytest.mark.parametrize("threads", ["0", "-3", "1.5"])
+    def test_thread_count_refused_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                  threads, kind):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a graph")
+
+        monkeypatch.setattr(experiments, "sample_graph", no_sampling)
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(SWEEP_CONFIG)
+        cfg_path.write_text(SWEEP_CONFIG + "set_height = 1\nset_size = 2\n")
         with pytest.raises(SystemExit) as exc:
-            run(["experiment", "sweep", "--config", str(cfg_path), "--threads", threads])
+            run(["experiment", kind, "--config", str(cfg_path), "--threads", threads])
         assert exc.value.code == EXIT_USAGE
         captured = capsys.readouterr()
-        assert f"--threads: must be >= 1, got {threads}" in captured.err
+        message = ("invalid integer value: '1.5'" if threads == "1.5"
+                   else f"must be >= 1, got {threads}")
+        assert f"--threads: {message}" in captured.err
         assert captured.out == ""
 
     def test_trend_and_xs_kinds(self, tmp_path, capsys):

@@ -431,3 +431,8 @@ class TestClassifyThick:
             classify_thick([0], TreeParams(2, 1, 2.0), 0.1)
         with pytest.raises(ValueError):
             classify_thick([0], TreeParams(2, 4, 2.0), 0.0)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_rejects_epsilon_not_finite_and_positive(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+            classify_thick(range(8), TreeParams(2, 10, 2.0), epsilon)

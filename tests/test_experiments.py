@@ -55,6 +55,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             SetTemplate(height=1, size=2, placement="middle")
 
+    @pytest.mark.parametrize("bad", [dict(directed=7), dict(directed="1"), dict(allow_large=2)],
+                             ids=["directed-7", "directed-str", "allow-large-2"])
+    def test_flags_must_be_0_or_1(self, bad):
+        ((name, value),) = bad.items()
+        with pytest.raises(ValueError, match=f"{name} must be 0 or 1, got {value!r}"):
+            cfg(**bad)
+
+    def test_flags_are_stored_as_bools(self):
+        c = cfg(directed=1, allow_large=0)
+        assert c.directed is True and c.allow_large is False
+        assert ("directed", "True") in c.items()
+
     def test_tree_and_splitting_heights_checked_at_load(self):
         for bad in (dict(h_from=-3, heights=()), dict(h_from=0, heights=()),
                     dict(h_star=99), dict(h_star=5, h_to=6), dict(h_star=1),
