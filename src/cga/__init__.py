@@ -35,7 +35,6 @@ from .clusters import (
 )
 from .experiments import (
     ExperimentConfig,
-    SetTemplate,
     TrialReport,
     estimate_event_probs,
     run_threshold_sweep,

@@ -6,6 +6,9 @@ index * trials + trial index) uses splitmix64(master_seed, i).  Every
 estimator here is a pure function of its config, so reruns reproduce
 identical output bytes.  Trials run in order on the calling thread.
 
+`ExperimentConfig` alone knows the config format and the probe set: its
+`from_text` reads back what its `items()` echoes.
+
 Sweep CSV format (one row per trial and scanned height, after `# key=value`
 comment lines echoing the full resolved config):
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
@@ -49,14 +52,66 @@ SWEEP_HEADER = (
 DEFAULT_MAX_N = 2**22
 
 
-def _check_placement(placement: str) -> None:
-    if placement not in ("spread", "left"):
-        raise ValueError(f"unknown placement rule {placement!r}")
+def parse_config_text(text: str) -> dict[str, str]:
+    """The `key=value` pairs of a config text; `#` starts a comment, and a
+    key may appear once."""
+    values: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise ValueError(f"config line {lineno}: duplicate key {key!r}")
+        values[key] = val
+    return values
+
+
+def _split(text: str) -> list[str]:
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
+def _flag(text: str):
+    # 0 or 1, or the echo's False or True; ExperimentConfig refuses other text
+    return {"0": 0, "1": 1, "False": 0, "True": 1}.get(text, text)
+
+
+# How each config key reads from text and prints in the echo.  A key whose
+# default is None reads an empty value as None, and None prints empty.
+_CONFIG_TEXT: dict[str, tuple[Callable[[str], object], Callable]] = {
+    "b": (int, str),
+    "c": (float, format_real),
+    "h_from": (int, str),
+    "h_to": (int, str),
+    "alpha": (str, str),
+    "beta": (str, str),
+    "epsilon": (float, repr),
+    "trials": (int, str),
+    "seed": (int, str),
+    "heights": (lambda text: tuple(int(tok) for tok in _split(text)),
+                lambda val: ",".join(map(str, val))),
+    "measures": (lambda text: frozenset(_split(text)), lambda val: ",".join(sorted(val))),
+    "h_star": (int, str),
+    "directed": (_flag, str),
+    "set_height": (int, str),
+    "set_size": (int, str),
+    "placement": (str, str),
+    "candidates": (int, str),
+    "allow_large": (_flag, str),
+    "work_budget": (int, str),
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; immutable and fully echoed into output."""
+    """Everything a run needs; immutable and fully echoed into output.
+
+    An events run places `set_size` leaves of a height-`set_height` subtree
+    in each splitting block, by `placement` ("spread" deals them round-robin
+    over the subtree's children, so a set of size >= 2 attains the height
+    exactly; "left" takes the leftmost leaves); xs scans height `set_height`."""
 
     b: int
     c: float
@@ -84,7 +139,8 @@ class ExperimentConfig:
         object.__setattr__(self, "heights", tuple(self.heights))
         object.__setattr__(self, "measures", frozenset(self.measures))
         check_seed(self.seed)
-        _check_placement(self.placement)
+        if self.placement not in ("spread", "left"):
+            raise ValueError(f"unknown placement rule {self.placement!r}")
         if self.epsilon is not None and not 0 <= self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
         for name in ("directed", "allow_large"):
@@ -115,6 +171,14 @@ class ExperimentConfig:
                 )
         # the smallest and the largest parameter sets validate b, c and size
         TreeParams(self.b, self.h_from, self.c)
+        if self.set_height is not None and not 0 <= self.set_height <= self.h_from:
+            raise ValueError(f"set_height {self.set_height} outside [0, {self.h_from}] "
+                             "(the smallest tree height)")
+        if self.set_size is not None and self.set_size < 1:
+            raise ValueError(f"set_size must be >= 1, got {self.set_size}")
+        if self.set_height is not None and (self.set_size or 0) > self.b**self.set_height:
+            raise ValueError(f"set_size {self.set_size} exceeds the {self.b**self.set_height} "
+                             f"leaves of a height-{self.set_height} subtree")
         params = TreeParams(self.b, self.h_to, self.c)
         if params.n > DEFAULT_MAX_N and not self.allow_large:
             raise ValueError(
@@ -157,27 +221,31 @@ class ExperimentConfig:
         real = threshold_heights(params, self.resolved_epsilon).h_star
         return min(tree_height, max(h, math.ceil(real)))
 
+    @classmethod
+    def from_text(cls, text: str) -> ExperimentConfig:
+        """The config of a `key=value` text, such as a config file or the
+        `# key=value` lines of an output with their `# ` taken off.  Each
+        key may appear once, and b, c, h_from and h_to are required."""
+        raw = parse_config_text(text)
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(raw) - set(defaults)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        missing = {key for key, default in defaults.items() if default is MISSING} - set(raw)
+        if missing:
+            raise ValueError(f"missing config keys: {sorted(missing)}")
+        return cls(**{
+            key: None if val == "" and defaults[key] is None else _CONFIG_TEXT[key][0](val)
+            for key, val in raw.items()
+        })
+
     def items(self) -> list[tuple[str, str]]:
-        """Resolved settings as printable (key, value) pairs, for echo."""
-        out: list[tuple[str, str]] = []
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if f.name == "c":
-                text = format_real(val)
-            elif f.name in ("alpha", "beta"):
-                text = str(val)
-            elif f.name == "heights":
-                text = ",".join(str(h) for h in val)
-            elif f.name == "measures":
-                text = ",".join(sorted(val))
-            elif f.name == "epsilon":
-                text = repr(self.resolved_epsilon)
-            elif val is None:
-                text = ""
-            else:
-                text = str(val)
-            out.append((f.name, text))
-        return out
+        """Resolved settings as printable (key, value) pairs, for echo;
+        `from_text` reads them back."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        values["epsilon"] = self.resolved_epsilon
+        return [(key, "" if val is None else _CONFIG_TEXT[key][1](val))
+                for key, val in values.items()]
 
 
 @dataclass(frozen=True)
@@ -334,30 +402,11 @@ def sweep_csv(cfg: ExperimentConfig, reports: Iterable[TrialReport]) -> str:
 # --- event probability estimation ------------------------------------------
 
 
-@dataclass(frozen=True)
-class SetTemplate:
-    """How to place one probe set inside each splitting block: its height,
-    size, and the placement rule ("spread" distributes members round-robin
-    over the subtree's children, so any set of size >= 2 attains the
-    requested height exactly; "left" takes the leftmost leaves)."""
-
-    height: int
-    size: int
-    placement: str = "spread"
-
-    def __post_init__(self) -> None:
-        _check_placement(self.placement)
-        if self.size < 1:
-            raise ValueError(f"set size must be >= 1, got {self.size}")
-
-
-def place_set(template: SetTemplate, block_root: int, params: TreeParams) -> VertexSet:
-    b, h, m = params.b, template.height, template.size
-    if m > b**h:
-        raise ValueError(
-            f"cannot place {m} vertices in a height-{h} subtree of {b**h} leaves"
-        )
-    if template.placement == "left" or h == 0:
+def place_set(cfg: ExperimentConfig, block_root: int, params: TreeParams) -> VertexSet:
+    """The probe set of the config's events run inside the complete
+    height-`set_height` subtree whose first leaf is `block_root`."""
+    b, h, m = params.b, cfg.set_height, cfg.set_size
+    if cfg.placement == "left" or h == 0:
         members = range(block_root, block_root + m)
     else:
         child = b ** (h - 1)
@@ -384,14 +433,16 @@ class EventProbEstimate:
 EVENT_KEYS = ("D", "E1", "E2", "E3", "all")
 
 
-def estimate_event_probs(cfg: ExperimentConfig, template: SetTemplate) -> list[EventProbEstimate]:
+def estimate_event_probs(cfg: ExperimentConfig) -> list[EventProbEstimate]:
     """Place one probe set per splitting block per trial and measure the
     frequency of each density/sparseness event, from one scan per trial."""
+    if cfg.set_height is None or cfg.set_size is None:
+        raise ValueError("events experiments need set_height and set_size in the config")
     spec = cfg.cluster_spec
-    h_stars = {H: cfg.resolve_h_star(H, template.height) for H in cfg.tree_heights}
+    h_stars = {H: cfg.resolve_h_star(H, cfg.set_height) for H in cfg.tree_heights}
     _check_sweep_budget(cfg, "events", lambda tree_height: (h_stars[tree_height],))
     # the probe set of block 0; the block at root r holds r + offsets
-    offsets = place_set(template, 0, cfg.params_for(cfg.h_to)).members
+    offsets = place_set(cfg, 0, cfg.params_for(cfg.h_to)).members
 
     def measure(g: Graph, trial: int, seed: int, started: float) -> list[int]:
         h_star = h_stars[g.params.H]
@@ -424,11 +475,11 @@ def estimate_event_probs(cfg: ExperimentConfig, template: SetTemplate) -> list[E
     return results
 
 
-def events_csv(cfg: ExperimentConfig, template: SetTemplate, estimates) -> str:
+def events_csv(cfg: ExperimentConfig, estimates) -> str:
     echo = (
-        ("template_height", template.height),
-        ("template_size", template.size),
-        ("template_placement", template.placement),
+        ("template_height", cfg.set_height),
+        ("template_size", cfg.set_size),
+        ("template_placement", cfg.placement),
     )
     rows = (
         (est.tree_height, est.n, est.h_star_used, key, est.freq[key], est.se[key],
@@ -615,11 +666,12 @@ class XsStats:
     analytic_mean: float
 
 
-def xs_statistics(cfg: ExperimentConfig, h: int) -> list[XsStats]:
-    """Internal edge counts over all complete height-h sets of every
-    trial, per tree height."""
-    if not 0 <= h <= cfg.h_from:
-        raise ValueError(f"height {h} outside [0, {cfg.h_from}] (the smallest tree height)")
+def xs_statistics(cfg: ExperimentConfig) -> list[XsStats]:
+    """Internal edge counts over all complete height-`set_height` sets of
+    every trial, per tree height."""
+    h = cfg.set_height
+    if h is None:
+        raise ValueError("xs experiments need set_height in the config")
     _check_sweep_budget(cfg, "xs", lambda tree_height: (h,))
 
     def measure(g: Graph, trial: int, seed: int, started: float) -> list[int]:

@@ -20,6 +20,7 @@ own stream.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from bisect import bisect_left, bisect_right
@@ -455,12 +456,19 @@ def write_edge_list(g: Graph, path) -> None:
 
 
 def parse_edge_list(text: str) -> Graph:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("# cga "):
+    header, _, body = text.partition("\n")
+    if not header.startswith("# cga "):
         raise ValueError("missing '# cga ...' header line")
-    fields = dict(
-        item.split("=", 1) for item in lines[0][len("# cga ") :].split()
-    )
+    fields: dict[str, str] = {}
+    for item in header[len("# cga ") :].split():
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"header: expected key=value, got {item!r}")
+        if key not in _HEADER_FIELDS:
+            raise ValueError(f"header: unknown field {key!r}")
+        if key in fields:
+            raise ValueError(f"header: duplicate field {key!r}")
+        fields[key] = value
     try:
         params = TreeParams(int(fields["b"]), int(fields["H"]), float(fields["c"]))
         seed = check_seed(int(fields["seed"]))
@@ -469,15 +477,14 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"header missing field {exc}") from exc
     if directed not in (0, 1):
         raise ValueError(f"header field directed must be 0 or 1, got {directed}")
-    body = lines[1:]
     edges = np.empty((0, 2), np.int64)
-    if any(map(str.strip, body)):
+    if body.strip(" \t\n"):
         # numpy's text reader gets only the characters of integer lines: it
         # may read an integer through a float, and other text has crashed
         # the interpreter
         try:
-            edges = (np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
-                     if _BODY_CHARS.fullmatch("\n".join(body)) else None)
+            edges = (np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+                     if _BODY_CHARS.fullmatch(body) else None)
         except (ValueError, OverflowError):
             edges = None
     if edges is None or edges.shape[1] != 2 or (
@@ -487,14 +494,15 @@ def parse_edge_list(text: str) -> Graph:
     return Graph.from_edges(params, edges, directed=bool(directed), seed=seed)
 
 
+_HEADER_FIELDS = frozenset({"b", "H", "c", "seed", "directed"})
 _BODY_CHARS = re.compile(r"[0-9+\- \t\n]*")
 _LINE = re.compile(r"[ \t]*([+-]?[0-9]+)[ \t]+([+-]?[0-9]+)[ \t]*")
 
 
-def _body_error(body: list[str], directed: int) -> ValueError:
+def _body_error(body: str, directed: int) -> ValueError:
     """The error of the first bad line of an edge-list body that the array
-    parse rejected; the header is line 1."""
-    for lineno, line in enumerate(body, start=2):
+    parse rejected; the header is line 1, and only `\\n` ends a line."""
+    for lineno, line in enumerate(body.split("\n"), start=2):
         if not line.strip(" \t"):
             continue
         match = _LINE.fullmatch(line)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from cga import experiments
 from cga.cli import (
-    _CONFIG_KEYS,
     EXIT_BUDGET,
     EXIT_IO,
     EXIT_NOT_CLUSTER,
@@ -20,10 +20,9 @@ from cga.cli import (
     build_parser,
     load_experiment_config,
     main,
-    parse_config_text,
 )
 from cga.clusters import ClusterSpec
-from cga.experiments import SWEEP_HEADER
+from cga.experiments import SWEEP_HEADER, ExperimentConfig, parse_config_text
 from cga.generator import read_edge_list, sample_graph
 from cga.oracle import enumerate_clusters
 from cga.tree import TreeParams
@@ -145,6 +144,21 @@ def test_mode_must_match_the_graph(tmp_path, capsys, command):
     assert captured.out == "" and "--mode undirected" in captured.err
     run(argv)
     assert "# mode=directed-out\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--set", "0,1"], ["enumerate", "--height", "1"], ["oracle", "--max-size", "2"]])
+@pytest.mark.parametrize("header,named", [
+    ("# cga b=2 b=3 H=2 c=2 seed=0 directed=0", "header: duplicate field 'b'"),
+    ("# cga b=2 H=2 c=2 seed=0 directed=0 color=red", "header: unknown field 'color'"),
+    ("# cga b=2 H=2 c=2 seed=0 directed=0 junk", "header: expected key=value, got 'junk'"),
+])
+def test_bad_header_field_exits_2(tmp_path, capsys, command, header, named):
+    path = tmp_path / "g.el"
+    path.write_text(f"{header}\n0 1\n")
+    assert run([*command, "--graph", str(path), "--alpha", "0.5", "--beta", "0.5"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
 
 
 @pytest.mark.parametrize("value", ["1/0", "1e-9999999"])
@@ -428,6 +442,35 @@ class TestExperimentCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and named in captured.err
 
+    @pytest.mark.parametrize("text,named", [
+        ("set_height = 7\nset_size = 2", "set_height 7 outside [0, 6]"),
+        ("set_height = -1\nset_size = 1", "set_height -1 outside [0, 6]"),
+        ("set_height = 1\nset_size = 3", "set_size 3 exceeds the 2 leaves of a height-1 subtree"),
+        ("set_height = 1\nset_size = 0", "set_size must be >= 1, got 0"),
+    ])
+    def test_probe_set_outside_its_subtree_exits_2_before_sampling(
+            self, tmp_path, capsys, monkeypatch, text, named):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a graph")
+
+        monkeypatch.setattr(experiments, "sample_graph", no_sampling)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"b = 2\nc = 2\nh_from = 6\nh_to = 8\n{text}\n")
+        assert run(["experiment", "events", "--config", str(cfg_path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err
+
+    @pytest.mark.parametrize("kind,text,named", [
+        ("events", "set_height = 1", "events experiments need set_height and set_size"),
+        ("events", "set_size = 1", "events experiments need set_height and set_size"),
+        ("xs", "set_size = 1", "xs experiments need set_height"),
+    ])
+    def test_missing_probe_set_exits_2(self, tmp_path, capsys, kind, text, named):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"{SWEEP_CONFIG}{text}\n")
+        assert run(["experiment", kind, "--config", str(cfg_path)]) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind,extra", [
         ("events", "set_height = 1\nset_size = 2\n"), ("xs", "set_height = 1\n")])
     def test_events_and_xs_over_budget_exit_4(self, tmp_path, capsys, kind, extra):
@@ -477,6 +520,35 @@ class TestExperimentCommand:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind,config,digest", GOLDEN_RUNS, ids=GOLDEN_IDS)
+    def test_a_run_on_its_own_echo_prints_the_same_bytes(self, tmp_path, capsys, kind,
+                                                          config, digest):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(config)
+        assert run(["experiment", kind, "--config", str(cfg_path)]) == EXIT_OK
+        first = capsys.readouterr().out
+        echo = [line[2:] for line in first.splitlines() if line.startswith("# ")]
+        keys = {f.name for f in fields(ExperimentConfig)}
+        config_lines = [line for line in echo if line.split("=", 1)[0] in keys]
+        # events also echoes its probe set as template_*, a copy of the set_* keys
+        assert {line.split("=", 1)[0] for line in echo} - keys == (
+            {"template_height", "template_size", "template_placement"} if kind == "events"
+            else set())
+        echo_path = tmp_path / "echo.cfg"
+        echo_path.write_text("\n".join(config_lines) + "\n")
+        assert run(["experiment", kind, "--config", str(echo_path)]) == EXIT_OK
+        assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "text",
+        [config for _, config, _ in GOLDEN_RUNS]
+        + [path.read_text() for path in sorted(CONFIG_DIR.glob("*.cfg"))],
+        ids=GOLDEN_IDS + [path.stem for path in sorted(CONFIG_DIR.glob("*.cfg"))])
+    def test_echo_reads_back_to_the_same_config(self, text):
+        cfg = ExperimentConfig.from_text(text)
+        echo = "".join(f"{key}={val}\n" for key, val in cfg.items())
+        assert ExperimentConfig.from_text(echo).items() == cfg.items()
 
     def test_load_experiment_config_types(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
@@ -546,9 +618,10 @@ class TestImportHygiene:
 
     def test_an_events_run_does_not_load_numpy_ma(self):
         loaded = _modules_loaded_by(
-            "from cga.experiments import ExperimentConfig, SetTemplate, estimate_event_probs\n"
-            "cfg = ExperimentConfig(b=2, c=2, h_from=5, h_to=5, trials=2, h_star=3)\n"
-            "assert estimate_event_probs(cfg, SetTemplate(1, 2))[0].observations == 8")
+            "from cga.experiments import ExperimentConfig, estimate_event_probs\n"
+            "cfg = ExperimentConfig(b=2, c=2, h_from=5, h_to=5, trials=2, h_star=3,\n"
+            "                       set_height=1, set_size=2)\n"
+            "assert estimate_event_probs(cfg)[0].observations == 8")
         assert "numpy.ma" not in loaded
 
 
@@ -575,7 +648,8 @@ VALID_BASE = {"b": "2", "c": "2", "h_from": "1", "h_to": "2"}
 
 @settings(max_examples=300, deadline=None)
 @given(
-    overrides=st.dictionaries(st.sampled_from(sorted(_CONFIG_KEYS)), CONFIG_VALUES),
+    overrides=st.dictionaries(st.sampled_from(sorted(f.name for f in fields(ExperimentConfig))),
+                              CONFIG_VALUES),
     extra=st.lists(st.tuples(st.text(max_size=8), CONFIG_VALUES), max_size=3),
 )
 def test_config_loading_raises_only_value_error(overrides, extra):

@@ -12,7 +12,6 @@ from cga.experiments import (
     EVENT_KEYS,
     SWEEP_HEADER,
     ExperimentConfig,
-    SetTemplate,
     estimate_event_probs,
     events_csv,
     place_set,
@@ -53,7 +52,7 @@ class TestConfig:
             with pytest.raises(ValueError):
                 cfg(**bad)
         with pytest.raises(ValueError):
-            SetTemplate(height=1, size=2, placement="middle")
+            cfg(set_height=1, set_size=2, placement="middle")
 
     @pytest.mark.parametrize("bad", [dict(directed=7), dict(directed="1"), dict(allow_large=2)],
                              ids=["directed-7", "directed-str", "allow-large-2"])
@@ -70,7 +69,9 @@ class TestConfig:
     def test_tree_and_splitting_heights_checked_at_load(self):
         for bad in (dict(h_from=-3, heights=()), dict(h_from=0, heights=()),
                     dict(h_star=99), dict(h_star=5, h_to=6), dict(h_star=1),
-                    dict(h_star=2, heights=(), set_height=3), dict(h_star=-1, heights=())):
+                    dict(h_star=2, heights=(), set_height=3), dict(h_star=-1, heights=()),
+                    dict(set_height=5), dict(set_height=-1), dict(set_size=0),
+                    dict(set_height=1, set_size=3), dict(set_height=0, set_size=2)):
             with pytest.raises(ValueError):
                 cfg(**bad)
         assert cfg(h_star=2).h_star == 2 and cfg(h_star=0, heights=()).h_star == 0
@@ -99,6 +100,17 @@ class TestConfig:
         auto = cfg()
         hs = auto.resolve_h_star(4, 1)
         assert 1 <= hs <= 4
+
+    def test_from_text_reads_empty_values_and_echoed_flags(self):
+        c = ExperimentConfig.from_text(
+            "b=2\nc=2\nh_from=4\nh_to=4\nh_star=\nset_height=\nset_size=\nepsilon=\n"
+            "heights=\ndirected=True\nallow_large=False\n")
+        assert (c.h_star, c.set_height, c.set_size, c.epsilon) == (None, None, None, None)
+        assert c.heights == () and c.directed is True and c.allow_large is False
+        for bad, named in [("trials=", "invalid literal"), ("directed=true", "directed must be 0 or 1"),
+                           ("b=2", "duplicate key 'b'"), ("bogus=1", "unknown config keys")]:
+            with pytest.raises(ValueError, match=named):
+                ExperimentConfig.from_text(f"b=2\nc=2\nh_from=4\nh_to=4\n{bad}\n")
 
     def test_items_echo_contains_everything(self):
         keys = {k for k, _ in cfg().items()}
@@ -167,13 +179,13 @@ class TestSweepCsv:
 
 class TestEventProbs:
     def test_complete_set_alpha_one_e1_is_one(self):
-        c = cfg(alpha=Fraction(1), trials=4, heights=(1,))
-        est = estimate_event_probs(c, SetTemplate(height=1, size=2))[0]
+        c = cfg(alpha=Fraction(1), trials=4, heights=(1,), set_height=1, set_size=2)
+        est = estimate_event_probs(c)[0]
         assert est.freq["E1"] == 1.0
 
     def test_h_star_full_height_e3_is_one(self):
-        c = cfg(h_star=4, trials=4)
-        est = estimate_event_probs(c, SetTemplate(height=1, size=2))[0]
+        c = cfg(h_star=4, trials=4, set_height=1, set_size=2)
+        est = estimate_event_probs(c)[0]
         assert est.h_star_used == 4
         assert est.freq["E3"] == 1.0
 
@@ -184,9 +196,9 @@ class TestEventProbs:
         analytic = (1 - 1 / 16) ** 2 * (1 - 1 / 64) ** 4
         c = ExperimentConfig(
             b=2, c=2.0, h_from=6, h_to=8, alpha="0.5", beta="0.5",
-            trials=400, seed=77, heights=(1,), h_star=3,
+            trials=400, seed=77, heights=(1,), h_star=3, set_height=1, set_size=2,
         )
-        ests = estimate_event_probs(c, SetTemplate(height=1, size=2))
+        ests = estimate_event_probs(c)
         for est in ests:
             assert abs(est.freq["E2"] - analytic) < 4 * max(est.se["E2"], 1e-6)
         freqs = [est.freq["E2"] for est in ests]
@@ -196,44 +208,43 @@ class TestEventProbs:
             assert gap < 3 * math.sqrt(ses[i] ** 2 + ses[i + 1] ** 2) + 1e-9
 
     def test_joint_tally_no_larger_than_components(self):
-        c = cfg(trials=5)
-        est = estimate_event_probs(c, SetTemplate(height=1, size=2))[0]
+        c = cfg(trials=5, set_height=1, set_size=2)
+        est = estimate_event_probs(c)[0]
         assert est.counts["all"] <= min(
             est.counts["D"], est.counts["E1"], est.counts["E2"], est.counts["E3"]
         )
 
     def test_impossible_placement_rejected(self):
-        c = cfg(trials=1)
         with pytest.raises(ValueError):
-            estimate_event_probs(c, SetTemplate(height=1, size=3))
+            estimate_event_probs(cfg(trials=1, set_height=1, set_size=3))
 
     def test_placement_rules(self):
         p = TreeParams(2, 4, 2.0)
-        spread = place_set(SetTemplate(height=2, size=3), 0, p)
+        spread = place_set(cfg(set_height=2, set_size=3), 0, p)
         assert spread.height == 2  # round-robin spans the children
-        left = place_set(SetTemplate(height=2, size=3, placement="left"), 4, p)
+        left = place_set(cfg(set_height=2, set_size=3, placement="left"), 4, p)
         assert left.members == (4, 5, 6)
-        single = place_set(SetTemplate(height=0, size=1), 8, p)
+        single = place_set(cfg(set_height=0, set_size=1), 8, p)
         assert single.members == (8,)
 
     @pytest.mark.parametrize("config,template", [
-        (dict(), SetTemplate(height=1, size=2)),
-        (dict(h_from=5, h_to=6, h_star=None), SetTemplate(height=2, size=3)),
-        (dict(b=3, c=2.5, h_from=3, h_to=3), SetTemplate(height=1, size=2)),
-        (dict(h_from=5, h_to=5, h_star=4), SetTemplate(height=2, size=3, placement="left")),
-        (dict(h_from=5, h_to=5, h_star=3), SetTemplate(height=3, size=2, placement="left")),
-        (dict(directed=True, alpha="0.3", beta="0.3"), SetTemplate(height=2, size=3)),
+        (dict(), dict(set_height=1, set_size=2)),
+        (dict(h_from=5, h_to=6, h_star=None), dict(set_height=2, set_size=3)),
+        (dict(b=3, c=2.5, h_from=3, h_to=3), dict(set_height=1, set_size=2)),
+        (dict(h_from=5, h_to=5, h_star=4), dict(set_height=2, set_size=3, placement="left")),
+        (dict(h_from=5, h_to=5, h_star=3), dict(set_height=3, set_size=2, placement="left")),
+        (dict(directed=True, alpha="0.3", beta="0.3"), dict(set_height=2, set_size=3)),
     ], ids=["spread", "resolved-h-star", "b3", "left", "left-below-template", "directed"])
     def test_counts_match_a_per_probe_event_report_loop(self, config, template):
-        c = cfg(**{"h_star": 2, "trials": 4, "heights": (), **config})
+        c = cfg(**{"h_star": 2, "trials": 4, "heights": (), **config, **template})
         spec = c.cluster_spec
-        for est in estimate_event_probs(c, template):
+        for est in estimate_event_probs(c):
             params = c.params_for(est.tree_height)
             counts = dict.fromkeys(EVENT_KEYS, 0)
             for trial in range(c.trials):
                 g = sample_graph(params, c.trial_seed(est.tree_height, trial), directed=c.directed)
                 for root in range(0, params.n, params.b**est.h_star_used):
-                    rep = event_report(place_set(template, root, params), g, spec, est.h_star_used)
+                    rep = event_report(place_set(c, root, params), g, spec, est.h_star_used)
                     for key, held in zip(EVENT_KEYS, (rep.dense, rep.e1, rep.e2, rep.e3,
                                                       rep.is_cluster)):
                         counts[key] += held
@@ -243,12 +254,11 @@ class TestEventProbs:
     def test_budget_refusal_names_offender(self, monkeypatch):
         monkeypatch.setattr(experiments, "sample_graph", None)  # refused before sampling
         with pytest.raises(WorkBudgetError, match="events at H=4, height=2"):
-            estimate_event_probs(cfg(work_budget=10, h_star=2), SetTemplate(height=1, size=2))
+            estimate_event_probs(cfg(work_budget=10, h_star=2, set_height=1, set_size=2))
 
     def test_csv_layout(self):
-        c = cfg(trials=2)
-        t = SetTemplate(height=1, size=2)
-        text = events_csv(c, t, estimate_event_probs(c, t))
+        c = cfg(trials=2, set_height=1, set_size=2)
+        text = events_csv(c, estimate_event_probs(c))
         lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert lines[0] == "H,n,h_star,event,frequency,se,count,observations"
         assert len(lines) == 1 + 5  # one row per event key
@@ -389,8 +399,8 @@ class TestIsolatedVertexOracle:
 
 class TestXsStatistics:
     def test_mean_matches_analytic(self):
-        c = cfg(h_from=6, h_to=6, trials=60, heights=(), seed=13)
-        st = xs_statistics(c, 2)[0]
+        c = cfg(h_from=6, h_to=6, trials=60, heights=(), seed=13, set_height=2)
+        st = xs_statistics(c)[0]
         analytic = expected_internal_edges(2, TreeParams(2, 6, 2.0))
         assert analytic == pytest.approx(2.0)
         sigma = math.sqrt(2 * 0.25 + 4 * 3 / 16)  # Bernoulli variance of X_S
@@ -398,28 +408,28 @@ class TestXsStatistics:
         assert st.analytic_mean == pytest.approx(analytic)
 
     def test_single_class_mean(self):
-        c = cfg(h_from=5, h_to=5, trials=60, heights=(), seed=14)
-        st = xs_statistics(c, 1)[0]
+        c = cfg(h_from=5, h_to=5, trials=60, heights=(), seed=14, set_height=1)
+        st = xs_statistics(c)[0]
         assert st.analytic_mean == pytest.approx(0.5)  # C(b,2)/c with b=c=2
 
     def test_variance_below_mean(self):
         # sum of independent Bernoullis: Var = sum p(1-p) <= sum p = mean
-        c = cfg(h_from=6, h_to=6, trials=80, heights=(), seed=15)
-        st = xs_statistics(c, 2)[0]
+        c = cfg(h_from=6, h_to=6, trials=80, heights=(), seed=15, set_height=2)
+        st = xs_statistics(c)[0]
         assert st.emp_var <= st.emp_mean + 4 * 0.1
 
     def test_rejects_height_outside_smallest_tree(self):
         for h in (-1, 5):
             with pytest.raises(ValueError):
-                xs_statistics(cfg(trials=1, heights=()), h)
+                xs_statistics(cfg(trials=1, heights=(), set_height=h))
 
     def test_budget_refusal_names_offender(self, monkeypatch):
         monkeypatch.setattr(experiments, "sample_graph", None)  # refused before sampling
         with pytest.raises(WorkBudgetError, match="xs at H=4, height=2"):
-            xs_statistics(cfg(work_budget=10, heights=()), 2)
+            xs_statistics(cfg(work_budget=10, heights=(), set_height=2))
 
     def test_csv_layout(self):
-        c = cfg(trials=2, heights=())
-        text = xs_csv(c, xs_statistics(c, 1))
+        c = cfg(trials=2, heights=(), set_height=1)
+        text = xs_csv(c, xs_statistics(c))
         lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert lines[0] == "H,n,h,trials,observations,emp_mean,emp_var,analytic_mean"

@@ -228,6 +228,13 @@ class TestEdgeListFormat:
             write_edge_list(g, path)
             assert read_edge_list(path) == g
 
+    def test_crlf_file_reads(self, tmp_path):
+        # text mode turns each \r\n into the \n the parser splits at
+        g = sample_graph(TreeParams(2, 5, 2.0), 42)
+        path = tmp_path / "g.el"
+        path.write_bytes(edge_list_text(g).replace("\n", "\r\n").encode())
+        assert read_edge_list(path) == g
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         g = sample_graph(TreeParams(2, 5, 2.0), 11)
         a, b = tmp_path / "a.el", tmp_path / "b.el"
@@ -246,6 +253,9 @@ class TestEdgeListFormat:
             "# cga b=2 H=2 c=2 seed=-1 directed=0\n",  # seed below 0
             f"# cga b=2 H=2 c=2 seed={2**64} directed=0\n",  # seed beyond 64 bits
             "# cga b=2 H=2 c=2 seed=0 directed=7\n",  # directed neither 0 nor 1
+            "# cga b=2 b=3 H=2 c=2 seed=0 directed=0\n",  # repeated field
+            "# cga b=2 H=2 c=2 seed=0 directed=0 color=red\n",  # unknown field
+            "# cga b=2 H=2 c=2 seed=0 directed=0 junk\n",  # field without '='
         ],
     )
     def test_rejects_malformed_files(self, text):
@@ -267,6 +277,7 @@ class TestEdgeListFormat:
             ("0.9 1\n", "line 4: expected '<u> <v>'"),
             ("1e1 20\n", "line 4: expected '<u> <v>'"),
             ("1\x1f2\n", "line 4: expected '<u> <v>'"),
+            ("1 2\x1c2 3\n", "line 4: expected '<u> <v>'"),  # only \n ends a line
         ]:
             with pytest.raises(ValueError, match=re.escape(message)):
                 parse_edge_list(head + body)
