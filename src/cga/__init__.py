@@ -5,7 +5,6 @@ deterministic Monte Carlo experiment harness."""
 from .bounds import (
     JansonBounds,
     LogValue,
-    ThresholdConstants,
     ThresholdHeights,
     binom_tail_bound,
     binom_tail_exact,
@@ -17,21 +16,15 @@ from .bounds import (
     gamma_constant,
     janson_bounds,
     m_star,
-    threshold_constants,
     threshold_heights,
 )
 from .clusters import (
     ClusterSpec,
     EventReport,
     Witness,
-    classify_thick,
-    edges_to_set,
     event_report,
     internal_edge_count,
     is_cluster,
-    is_externally_sparse,
-    is_internally_dense,
-    sparse_core,
 )
 from .experiments import (
     ExperimentConfig,
@@ -48,7 +41,6 @@ from .generator import (
     expected_edge_count,
     read_edge_list,
     sample_graph,
-    sample_graph_naive,
     write_edge_list,
 )
 from .oracle import (

@@ -9,7 +9,6 @@ rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -34,18 +33,6 @@ class ThresholdHeights(NamedTuple):
 class JansonBounds(NamedTuple):
     upper: float
     lower: float
-
-
-@dataclass(frozen=True)
-class ThresholdConstants:
-    """The constants governing the cluster-size threshold for one choice
-    of (alpha, b, c, epsilon, n)."""
-
-    m_star: float
-    h_star: float
-    h_epsilon: float
-    gamma: float
-    epsilon: float
 
 
 def _check_alpha(alpha) -> float:
@@ -100,17 +87,6 @@ def threshold_heights(params: TreeParams, epsilon: float) -> ThresholdHeights:
         h_star=(0.5 - epsilon) * lnln / ln_b,
         h_epsilon=(0.5 + epsilon) * lnln / ln_b,
         tall_height=math.sqrt(ln_n) / ln_b,
-    )
-
-
-def threshold_constants(params: TreeParams, alpha, epsilon: float) -> ThresholdConstants:
-    heights = threshold_heights(params, epsilon)
-    return ThresholdConstants(
-        m_star=m_star(alpha, params.b, params.c),
-        h_star=heights.h_star,
-        h_epsilon=heights.h_epsilon,
-        gamma=gamma_constant(alpha, params.b, params.c),
-        epsilon=epsilon,
     )
 
 

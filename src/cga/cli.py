@@ -229,27 +229,19 @@ def cmd_bounds(args) -> int:
             if given & group and not given & need:
                 raise ValueError(f"{_flags(given & group, ' ')} needs {_flags(need, ' or ')}")
     alpha = float(as_fraction(args.alpha, "alpha"))
-    ms = bounds_mod.m_star(alpha, args.b, args.c)
+    # every value is computed before anything prints, so a refusal leaves stdout empty
+    lines = [
+        f"m_star={repr(bounds_mod.m_star(alpha, args.b, args.c))}",
+        f"gamma={repr(bounds_mod.gamma_constant(alpha, args.b, args.c))}",
+    ]
     if args.height is not None:
         params = TreeParams(args.b, args.height, args.c)
         hs = bounds_mod.threshold_heights(params, args.epsilon)
-    pairs = [
-        ("command", "bounds"),
-        ("b", args.b),
-        ("c", format_real(args.c)),
-        ("alpha", args.alpha),
-        ("epsilon", args.epsilon),
-        ("height", args.height if args.height is not None else ""),
-        ("m", args.m if args.m is not None else ""),
-        ("family_size", args.family_size if args.family_size is not None else ""),
-    ]
-    _echo_config(sys.stdout, pairs)
-    print(f"m_star={repr(ms)}")
-    print(f"gamma={repr(bounds_mod.gamma_constant(alpha, args.b, args.c))}")
-    if args.height is not None:
-        print(f"h_star={repr(hs.h_star)}")
-        print(f"h_epsilon={repr(hs.h_epsilon)}")
-        print(f"tall_height={repr(hs.tall_height)}")
+        lines += [
+            f"h_star={repr(hs.h_star)}",
+            f"h_epsilon={repr(hs.h_epsilon)}",
+            f"tall_height={repr(hs.tall_height)}",
+        ]
         for h in range(0, args.height + 1):
             lv = bounds_mod.clique_count_lower_bound(h, params)
             parts = [
@@ -264,32 +256,45 @@ def cmd_bounds(args) -> int:
                 parts.append(
                     f"expected_internal_edges={repr(bounds_mod.expected_internal_edges(h, params))}"
                 )
-            print(" ".join(parts))
+            lines.append(" ".join(parts))
         if args.m is not None:
             family = args.family_size if args.family_size is not None else params.n
-            print(
+            lines.append(
                 f"cluster_count_guarantee="
                 f"{repr(bounds_mod.cluster_count_guarantee(args.m, params, alpha, family))}"
             )
     if args.tail_n is not None:
         if args.tail_t is not None:
-            print(
+            lines.append(
                 f"binom_tail_bound="
                 f"{repr(bounds_mod.binom_tail_bound(args.tail_n, args.tail_p, args.tail_t))}"
             )
         if args.tail_s is not None:
-            print(
+            lines.append(
                 f"binom_tail_simple="
                 f"{repr(bounds_mod.binom_tail_simple(args.tail_n, args.tail_p, args.tail_s))}"
             )
-            print(
+            lines.append(
                 f"binom_tail_exact="
                 f"{repr(bounds_mod.binom_tail_exact(args.tail_n, args.tail_p, args.tail_s))}"
             )
     if args.mu is not None and args.t is not None:
         jb = bounds_mod.janson_bounds(args.mu, args.t)
-        print(f"janson_upper={repr(jb.upper)}")
-        print(f"janson_lower={repr(jb.lower)}")
+        lines += [f"janson_upper={repr(jb.upper)}", f"janson_lower={repr(jb.lower)}"]
+    _echo_config(
+        sys.stdout,
+        [
+            ("command", "bounds"),
+            ("b", args.b),
+            ("c", format_real(args.c)),
+            ("alpha", args.alpha),
+            ("epsilon", args.epsilon),
+            ("height", args.height if args.height is not None else ""),
+            ("m", args.m if args.m is not None else ""),
+            ("family_size", args.family_size if args.family_size is not None else ""),
+        ],
+    )
+    print("\n".join(lines))
     return EXIT_OK
 
 

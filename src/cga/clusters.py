@@ -21,7 +21,6 @@ connectivity of a cluster is only guaranteed for beta >= 1/2.
 
 from __future__ import annotations
 
-import math
 import re
 from collections import Counter
 from dataclasses import InitVar, dataclass
@@ -31,12 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .generator import Graph
-from .tree import TreeParams, VertexSet
-
-SHORT_THICK = "short-thick"
-TALL_THICK = "tall-thick"
-NEITHER = "neither"
-
+from .tree import VertexSet
 
 # the exponent of a decimal string, as Fraction's own grammar spells it
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
@@ -135,47 +129,9 @@ def _as_set(M, g: Graph) -> VertexSet:
     return VertexSet.from_leaves(M, g.params)
 
 
-def edges_to_set(v: int, M, g: Graph) -> int:
-    """Number of edges between v and M (arcs from v into M on a directed
-    graph), never counting v itself."""
-    _, counts = _incoming_counts(M, g, "edge count against")
-    return counts.get(v, 0)
-
-
-def _incoming_counts(M, g: Graph, what: str) -> tuple[VertexSet, dict[int, int]]:
-    """M as a VertexSet, and edges_to_set(u, M) for every u with at least
-    one edge (arc) into M, members included; vertices absent from the map
-    have count 0.  `what` words the error for an empty M."""
-    M = _as_set(M, g)
-    if not M.members:
-        raise ValueError(f"{what} the empty set is undefined")
-    return M, Counter(g.in_csr.gather(M.members))
-
-
-def is_internally_dense(M, g: Graph, spec: ClusterSpec) -> bool:
-    """True when every member v of M has edges_to_set(v, M) >= beta * |M|."""
-    M, counts = _incoming_counts(M, g, "density of")
-    dense_min, _ = spec.cutoffs(len(M))
-    return all(counts.get(v, 0) >= dense_min for v in M.members)
-
-
-def is_externally_sparse(M, g: Graph, spec: ClusterSpec) -> bool:
-    """True when every non-member u has edges_to_set(u, M) <= alpha * |M|.
-
-    Only vertices with at least one edge into M can violate the condition
-    (alpha > 0), so the scan touches edges incident to M, not all n
-    vertices.
-    """
-    M, counts = _incoming_counts(M, g, "sparseness of")
-    _, sparse_max = spec.cutoffs(len(M))
-    ms = M.member_set
-    return all(cnt <= sparse_max for u, cnt in counts.items() if u not in ms)
-
-
 def is_cluster(M, g: Graph, spec: ClusterSpec) -> bool:
     """Internally dense and externally sparse."""
-    M = _as_set(M, g)
-    return is_internally_dense(M, g, spec) and is_externally_sparse(M, g, spec)
+    return event_report(M, g, spec, g.params.H).is_cluster
 
 
 def event_report(M, g: Graph, spec: ClusterSpec, h_star: int) -> EventReport:
@@ -185,7 +141,10 @@ def event_report(M, g: Graph, spec: ClusterSpec, h_star: int) -> EventReport:
     the graph; their conjunction is exactly external sparseness for any
     set_height(M) <= h_star <= H.
     """
-    M, counts = _incoming_counts(M, g, "event report for")
+    M = _as_set(M, g)
+    if not M.members:
+        raise ValueError("event report for the empty set is undefined")
+    counts = Counter(g.in_csr.gather(M.members))  # e(u, M) for every u with an edge into M
     p = g.params
     if not M.height <= h_star <= p.H:
         raise ValueError(
@@ -206,10 +165,8 @@ def event_report(M, g: Graph, spec: ClusterSpec, h_star: int) -> EventReport:
     # u lies in M's height-k subtree exactly when u // b**k == M.root // b**k
     s_block, star_block = p.b**M.height, p.b**h_star
     ms = M.member_set
-    region_violation: dict[str, Witness] = {}
-    for u in sorted(counts):
-        if u in ms or counts[u] <= sparse_max:
-            continue
+    region_violation: dict[str, Witness] = {}  # the smallest-index violator per event
+    for u in sorted(u for u, cnt in counts.items() if cnt > sparse_max and u not in ms):
         if u // s_block == M.root // s_block:
             event = "E1"
         elif u // star_block == M.root // star_block:
@@ -304,41 +261,3 @@ def complete_set_scan(g: Graph, spec: ClusterSpec, h: int, h_star: int,
         for region in (near_set & ~member.take(u), near & ~near_set, ~near)
     )
     return CompleteSetScan(internal, dense, e1, e2, e3)
-
-
-def sparse_core(M, g: Graph, fraction) -> VertexSet:
-    """The members of M with at most fraction * |M| edges into M.
-
-    May be empty.  Shrinks weakly as the fraction decreases.
-    """
-    M, counts = _incoming_counts(M, g, "sparse core of")
-    limit = math.floor(unit_fraction(fraction, "fraction") * len(M))
-    kept = [v for v in M.members if counts.get(v, 0) <= limit]
-    return VertexSet.from_leaves(kept, g.params)
-
-
-def classify_thick(M, params: TreeParams, epsilon: float) -> str:
-    """Classify a set as short-thick, tall-thick, or neither.
-
-    Short: height <= (1/2 + eps) * ln ln n / ln b and size >=
-    (ln n)**(1/2 + eps/3).  Tall: height <= sqrt(ln n) / ln b and size >=
-    (ln n)**(1/2 + eps/2).  Thresholds stay real-valued; integer heights
-    are compared against them directly.  Requires n >= 3 and a finite eps > 0.
-    """
-    if params.n < 3:
-        raise ValueError("thick-set thresholds require n >= 3")
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
-    if isinstance(M, VertexSet):
-        height, size = M.height, len(M.members)
-    else:
-        members = VertexSet.from_leaves(M, params)
-        height, size = members.height, len(members.members)
-    ln_n = math.log(params.n)
-    ln_b = math.log(params.b)
-    h_eps = (0.5 + epsilon) * math.log(ln_n) / ln_b
-    if height <= h_eps and size >= ln_n ** (0.5 + epsilon / 3):
-        return SHORT_THICK
-    if height <= math.sqrt(ln_n) / ln_b and size >= ln_n ** (0.5 + epsilon / 2):
-        return TALL_THICK
-    return NEITHER

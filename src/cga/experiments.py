@@ -33,7 +33,7 @@ from .bounds import expected_internal_edges, m_star, threshold_heights
 from .clusters import (
     ClusterSpec,
     complete_set_scan,
-    is_externally_sparse,
+    event_report,
     unit_fraction,
 )
 from .generator import Graph, expected_edge_count, format_real, sample_graph
@@ -52,10 +52,10 @@ SWEEP_HEADER = (
 DEFAULT_MAX_N = 2**22
 
 
-def parse_config_text(text: str) -> dict[str, str]:
-    """The `key=value` pairs of a config text; `#` starts a comment, and a
-    key may appear once."""
-    values: dict[str, str] = {}
+def parse_config_text(text: str) -> dict[str, tuple[int, str]]:
+    """The `key=value` pairs of a config text, as key -> (line number,
+    value); `#` starts a comment, and a key may appear once."""
+    values: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -65,7 +65,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, val = (part.strip() for part in line.split("=", 1))
         if key in values:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-        values[key] = val
+        values[key] = lineno, val
     return values
 
 
@@ -234,10 +234,14 @@ class ExperimentConfig:
         missing = {key for key, default in defaults.items() if default is MISSING} - set(raw)
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
-        return cls(**{
-            key: None if val == "" and defaults[key] is None else _CONFIG_TEXT[key][0](val)
-            for key, val in raw.items()
-        })
+        values = {}
+        for key, (lineno, val) in raw.items():
+            try:
+                values[key] = (None if val == "" and defaults[key] is None
+                               else _CONFIG_TEXT[key][0](val))
+            except ValueError as exc:
+                raise ValueError(f"config line {lineno}: {key} = {val!r}: {exc}") from exc
+        return cls(**values)
 
     def items(self) -> list[tuple[str, str]]:
         """Resolved settings as printable (key, value) pairs, for echo;
@@ -598,7 +602,7 @@ def trend_sparse_below_mstar(cfg: ExperimentConfig) -> list[TrendPoint]:
                 continue
             candidates = _candidate_sets(cfg, g.params, m, seed)
             found = sum(
-                is_externally_sparse(VertexSet.from_leaves(combo, g.params), g, spec)
+                event_report(combo, g, spec, g.params.H).externally_sparse
                 for combo in candidates
             )
             tally.append((found, len(candidates)))

@@ -23,14 +23,14 @@ from __future__ import annotations
 import io
 import math
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .rng import SubstreamSampler, check_seed, substream
+from .rng import SubstreamSampler, check_seed
 from .tree import TreeParams, pair_height
 
 _BLOCK_CHUNK = 8192  # blocks per task and per stream; part of the layout
@@ -161,11 +161,6 @@ class Graph:
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(self.in_csr.row(v).tolist())
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors(u)
-        i = bisect_left(nb, v)
-        return i < len(nb) and nb[i] == v
 
     def count_with_in_neighbors(self) -> int:
         """The number of vertices with at least one in-neighbor (with any
@@ -328,27 +323,6 @@ def sample_graph(params: TreeParams, seed: int, *, directed: bool = False) -> Gr
     if directed:
         uv = np.where(flip, uv[::-1], uv)
     return Graph.from_edges(params, uv.T, directed=directed, seed=seed)
-
-
-def sample_graph_naive(params: TreeParams, seed: int, *, directed: bool = False) -> Graph:
-    """Reference sampler: one independent coin per pair (two per pair when
-    directed), iterated in lexicographic pair order on stream label (0, 0).
-    O(n**2); kept as the distributional oracle for the batched sampler."""
-    check_seed(seed)
-    gen = substream(seed, 0, 0)
-    n, c = params.n, params.c
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            p = c ** -pair_height(u, v, params)
-            if directed:
-                if gen.random() < p:
-                    edges.append((u, v))
-                if gen.random() < p:
-                    edges.append((v, u))
-            elif gen.random() < p:
-                edges.append((u, v))
-    return Graph.from_edges(params, edges, directed=directed, seed=seed)
 
 
 # --- edge-list file format -------------------------------------------------

@@ -18,7 +18,6 @@ from cga.bounds import (
     h_min,
     janson_bounds,
     m_star,
-    threshold_constants,
     threshold_heights,
 )
 from cga.clusters import ClusterSpec
@@ -276,11 +275,3 @@ class TestGammaConstant:
         for alpha, b, c in [(0.5, 2, 2.0), (0.25, 3, 1.5), (1, 2, 4.0)]:
             g = gamma_constant(alpha, b, c)
             assert 0 < g < alpha * math.log(c) / (4 * math.log(b))
-
-    def test_threshold_constants_bundle(self):
-        p = TreeParams(2, 16, 2.0)
-        tc = threshold_constants(p, 0.5, 0.1)
-        assert tc.m_star == pytest.approx(2.0)
-        assert tc.gamma == pytest.approx(0.0625)
-        assert tc.epsilon == 0.1
-        assert tc.h_star < tc.h_epsilon

@@ -276,6 +276,18 @@ class TestBounds:
         captured = capsys.readouterr()
         assert captured.out == "" and "epsilon must be finite and >= 0" in captured.err
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--tail-n", "10", "--tail-p", "1.5", "--tail-t", "2"], "probability must lie in (0, 1)"),
+        (["--mu", "-1", "--t", "2"], "mu must be positive"),
+        (["--tail-n", "10", "--tail-p", "0.1", "--tail-t", "1"], "t must exceed 1"),
+        (["--height", "4", "--m", "2"], "guarantee requires m > m_star"),
+    ], ids=["tail-p", "mu", "tail-t", "m-at-m-star"])
+    def test_refusal_prints_nothing_to_stdout(self, capsys, flags, named):
+        code = run(["bounds", "--b", "2", "--c", "2", "--alpha", "0.5", *flags])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err
+
     def test_tail_and_janson(self, capsys):
         code = run(["bounds", "--b", "2", "--c", "2", "--alpha", "0.5",
                     "--tail-n", "10", "--tail-p", "0.1", "--tail-t", "2",
@@ -334,6 +346,7 @@ BAD_CONFIGS = {
     "huge-exponent": ("beta = 0.5", "beta = 1e-9999999", "beta = '1e-9999999' has an exponent"),
     "h-star-below-scanned-height": ("seed = 11", "seed = 11\nh_star = 1", "h_star 1 outside [2, 4]"),
     "missing-key": ("b = 2\n", "", "missing config keys: ['b']"),
+    "non-integer-trials": ("trials = 4", "trials = x", "config line 8: trials = 'x': invalid literal"),
 }
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -506,7 +519,7 @@ class TestExperimentCommand:
 
     def test_parse_config_text(self):
         parsed = parse_config_text("a = 1\n# comment\nb=2  # trailing\n\n")
-        assert parsed == {"a": "1", "b": "2"}
+        assert parsed == {"a": (1, "1"), "b": (3, "2")}
         with pytest.raises(ValueError):
             parse_config_text("just words\n")
 

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -9,24 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cga.clusters import (
-    NEITHER,
-    SHORT_THICK,
-    TALL_THICK,
     ClusterSpec,
+    Witness,
     as_fraction,
-    classify_thick,
     complete_set_scan,
-    edges_to_set,
     event_report,
     internal_edge_count,
     is_cluster,
-    is_externally_sparse,
-    is_internally_dense,
-    sparse_core,
 )
 from cga.generator import Graph, sample_graph
-from cga.tree import TreeParams, VertexSet, set_height
-from util import naive_is_cluster
+from cga.tree import TreeParams, set_height
+from util import has_edge, naive_edges_into, naive_is_cluster, naive_is_externally_sparse
 
 P22 = TreeParams(2, 2, 2.0)
 P23 = TreeParams(2, 3, 2.0)
@@ -75,52 +67,58 @@ class TestClusterSpec:
         assert ClusterSpec("5e-1", "1e0").alpha == Fraction(1, 2)
 
 
-class TestEdgesToSet:
+def report(members, g, spec=HALF):
+    """The event report of M at the full tree height, where E3 is vacuous."""
+    return event_report(members, g, spec, g.params.H)
+
+
+class TestWitnessEdgeCounts:
     def test_examples(self):
         g = graph(P22, [(0, 1), (0, 2)])
-        assert edges_to_set(0, [1, 2], g) == 2
+        assert report([1, 2], g).witnesses == (Witness("D", 1, 0), Witness("E1", 0, 2))
         g2 = graph(P22, [(0, 1)])
-        assert edges_to_set(1, [0, 1], g2) == 1
+        assert report([0, 1], g2, ClusterSpec("0.5", "1")).witness == Witness("D", 0, 1)
         empty = graph(P22, [])
-        assert edges_to_set(3, [0, 1], empty) == 0
+        assert report([0, 1], empty).witnesses == (Witness("D", 0, 0),)
 
     def test_directed_graph_counts_arcs_into_the_set(self):
         g = graph(P22, [(0, 1)], directed=True)
-        assert edges_to_set(0, [1], g) == 1
-        assert edges_to_set(1, [0], g) == 0
+        assert report([1], g).witnesses == (Witness("D", 1, 0), Witness("E2", 0, 1))
+        assert report([0], g).witnesses == (Witness("D", 0, 0),)  # 1 sends no arc into {0}
+        assert report([0, 1], g).witness == Witness("D", 1, 0)
 
 
 class TestInternallyDense:
     def test_boundary_is_exact(self):
         # 1 >= 0.5 * 2 must hold exactly, not via float luck
         g = graph(P22, [(0, 1)])
-        assert is_internally_dense([0, 1], g, HALF)
+        assert report([0, 1], g).dense
 
     def test_singleton_never_dense(self):
         g = graph(P22, [(0, 1)])
-        assert not is_internally_dense([0], g, HALF)
+        assert not report([0], g).dense
 
     def test_complete_graph(self):
         g = graph(P22, list(combinations(range(4), 2)))
-        assert is_internally_dense(range(4), g, ClusterSpec("0.5", "0.75"))
+        assert report(range(4), g, ClusterSpec("0.5", "0.75")).dense
 
     def test_beta_above_available_degree(self):
         g = graph(P22, [(0, 1)])
-        assert not is_internally_dense([0, 1], g, ClusterSpec("0.5", "0.6"))
+        assert not report([0, 1], g, ClusterSpec("0.5", "0.6")).dense
 
 
 class TestExternallySparse:
     def test_no_outside_edges(self):
         g = graph(P22, [(0, 1)])
-        assert is_externally_sparse([0, 1], g, HALF)
+        assert report([0, 1], g).externally_sparse
 
     def test_violating_outsider(self):
         g = graph(P22, [(0, 2), (1, 2)])
-        assert not is_externally_sparse([0, 1], g, HALF)  # 2 > 0.5*2
+        assert not report([0, 1], g).externally_sparse  # 2 > 0.5*2
 
     def test_whole_vertex_set_is_vacuously_sparse(self):
         g = graph(P22, list(combinations(range(4), 2)))
-        assert is_externally_sparse(range(4), g, HALF)
+        assert report(range(4), g).externally_sparse
 
 
 class TestIsCluster:
@@ -166,7 +164,7 @@ class TestEventReport:
             g = sample_graph(TreeParams(2, 4, 2.0), seed)
             for _ in range(40):
                 members = rng.sample(range(16), rng.randint(1, 5))
-                sparse = is_externally_sparse(members, g, HALF)
+                sparse = naive_is_externally_sparse(members, g, HALF.alpha)
                 h = set_height(members, g.params)
                 for h_star in range(h, 5):
                     rep = event_report(members, g, HALF, h_star)
@@ -183,12 +181,16 @@ class TestEventReport:
         rep = event_report([0, 2], g, HALF, 3)
         assert rep.e3
 
-    def test_h_star_out_of_range(self):
+    @pytest.mark.parametrize("verify,members,named", [
+        (lambda M, g: event_report(M, g, HALF, 2), [0, 4], r"\[3, 3\], got 2"),  # set height 3
+        (lambda M, g: event_report(M, g, HALF, 4), [0, 1], r"\[1, 3\], got 4"),
+        (lambda M, g: event_report(M, g, HALF, 3), [], "the empty set"),
+        (lambda M, g: is_cluster(M, g, HALF), [], "the empty set"),
+    ], ids=["below-set-height", "above-tree-height", "empty-report", "empty-cluster"])
+    def test_refuses_h_star_out_of_range_and_the_empty_set(self, verify, members, named):
         g = sample_graph(P23, 9)
-        with pytest.raises(ValueError):
-            event_report([0, 4], g, HALF, 2)  # set height 3
-        with pytest.raises(ValueError):
-            event_report([0, 1], g, HALF, 4)
+        with pytest.raises(ValueError, match=named):
+            verify(members, g)
 
     def test_witnesses_reverify(self):
         for seed in range(30):
@@ -196,7 +198,7 @@ class TestEventReport:
             rep = event_report([0, 1, 2], g, HALF, 3)
             m = 3
             for w in rep.witnesses:
-                cnt = edges_to_set(w.vertex, [0, 1, 2], g)
+                cnt = naive_edges_into(g, w.vertex, [0, 1, 2])
                 assert cnt == w.edges
                 if w.event == "D":
                     assert cnt < HALF.beta * m
@@ -219,12 +221,12 @@ class TestMonotonicity:
         missing = [
             (u, v)
             for u, v in combinations(members, 2)
-            if not g.has_edge(u, v)
+            if not has_edge(g, u, v)
         ]
-        if not missing or not is_internally_dense(members, g, HALF):
+        if not missing or not report(members, g).dense:
             return
         g2 = Graph.from_edges(P23, list(g.edges()) + [missing[0]])
-        assert is_internally_dense(members, g2, HALF)
+        assert report(members, g2).dense
 
     @given(
         seed=st.integers(0, 2**32),
@@ -236,12 +238,12 @@ class TestMonotonicity:
         members = sorted(members)
         outside = [u for u in range(8) if u not in members]
         missing = [
-            (u, v) for u in outside for v in members if not g.has_edge(u, v)
+            (u, v) for u in outside for v in members if not has_edge(g, u, v)
         ]
-        if not missing or is_externally_sparse(members, g, HALF):
+        if not missing or report(members, g).externally_sparse:
             return
         g2 = Graph.from_edges(P23, list(g.edges()) + [missing[0]])
-        assert not is_externally_sparse(members, g2, HALF)
+        assert not report(members, g2).externally_sparse
 
 
 class TestInternalEdgeCount:
@@ -275,7 +277,7 @@ class TestCompleteSetScan:
                     sets = [range(r, r + block) for r in range(0, b**H, block)]
                     naive = [naive_is_cluster(M, g, spec.alpha, spec.beta) for M in sets]
                     pairs = [
-                        sum(g.has_edge(u, v) for u in M for v in M if u != v) for M in sets
+                        sum(has_edge(g, u, v) for u in M for v in M if u != v) for M in sets
                     ]
                     for h_star in range(h, H + 1):
                         scan = complete_set_scan(g, spec, h, h_star)
@@ -364,75 +366,3 @@ def test_offset_scan_agrees_with_event_report_and_definition_oracle(data):
             assert got == (rep.dense, rep.e1, rep.e2, rep.e3, rep.is_cluster)
             assert scan.cluster[i] == naive[i]
             assert scan.internal[i] == internal_edge_count(M, g)
-
-
-class TestSparseCore:
-    def test_examples(self):
-        p = TreeParams(2, 3, 2.0)
-        empty = graph(p, [])
-        M = [0, 1, 2, 3]
-        assert sparse_core(M, empty, "0.25").members == tuple(M)
-
-        p8 = TreeParams(2, 3, 2.0)
-        complete = graph(p8, list(combinations(range(8), 2)))
-        assert sparse_core(range(8), complete, "0.25").members == ()
-
-        star = graph(p8, [(0, v) for v in range(1, 5)])
-        core = sparse_core(range(5), star, "0.25")
-        assert core.members == (1, 2, 3, 4)
-
-    @given(
-        seed=st.integers(0, 2**32),
-        members=st.sets(st.integers(0, 7), min_size=1, max_size=8),
-        f1=st.sampled_from(["0.1", "0.25", "0.5"]),
-        f2=st.sampled_from(["0.5", "0.75", "1"]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_shrinks_with_fraction(self, seed, members, f1, f2):
-        g = sample_graph(P23, seed)
-        small = sparse_core(members, g, f1)
-        large = sparse_core(members, g, f2)
-        assert set(small.members) <= set(large.members)
-
-
-class TestClassifyThick:
-    def test_derived_example_b2_h16(self):
-        p = TreeParams(2, 16, 2.0)
-        eps = 0.1
-        h_eps = (0.5 + eps) * math.log(math.log(p.n)) / math.log(2)
-        size_thresh = math.log(p.n) ** (0.5 + eps / 3)
-        assert h_eps == pytest.approx(2.0828, abs=1e-3)
-        assert size_thresh == pytest.approx(3.608, abs=1e-2)
-        complete_h2 = VertexSet.from_leaves(range(4), p)
-        assert classify_thick(complete_h2, p, eps) == SHORT_THICK
-
-    def test_singleton_is_neither(self):
-        p = TreeParams(2, 4, 2.0)
-        assert classify_thick([3], p, 0.1) == NEITHER
-
-    def test_tall_set(self):
-        # height above h_eps but below sqrt(ln n)/ln b, size above both cuts
-        p = TreeParams(2, 16, 2.0)
-        eps = 0.1
-        M = VertexSet.from_leaves(range(16), p)  # height 4, 16 members
-        assert 4 > (0.5 + eps) * math.log(math.log(p.n)) / math.log(2)
-        assert 4 <= math.sqrt(math.log(p.n)) / math.log(2)
-        assert classify_thick(M, p, eps) == TALL_THICK
-
-    def test_whole_small_tree_is_neither(self):
-        p = TreeParams(2, 4, 2.0)
-        M = VertexSet.from_leaves(range(16), p)  # height 4 = H
-        tall_h = math.sqrt(math.log(p.n)) / math.log(2)
-        assert 4 > tall_h  # height exceeds both bounds at this scale
-        assert classify_thick(M, p, 0.1) == NEITHER
-
-    def test_rejects_tiny_n_and_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            classify_thick([0], TreeParams(2, 1, 2.0), 0.1)
-        with pytest.raises(ValueError):
-            classify_thick([0], TreeParams(2, 4, 2.0), 0.0)
-
-    @pytest.mark.parametrize("epsilon", [0.0, -0.5, math.nan, math.inf, -math.inf])
-    def test_rejects_epsilon_not_finite_and_positive(self, epsilon):
-        with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
-            classify_thick(range(8), TreeParams(2, 10, 2.0), epsilon)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -26,7 +27,12 @@ from cga.generator import sample_graph
 from cga.oracle import WorkBudgetError
 from cga.rng import splitmix64
 from cga.tree import TreeParams
-from util import digit_height, isolated_count_moments, isolated_vertex_probability
+from util import (
+    digit_height,
+    isolated_count_moments,
+    isolated_vertex_probability,
+    naive_is_externally_sparse,
+)
 
 
 def cfg(**kw):
@@ -111,6 +117,16 @@ class TestConfig:
                            ("b=2", "duplicate key 'b'"), ("bogus=1", "unknown config keys")]:
             with pytest.raises(ValueError, match=named):
                 ExperimentConfig.from_text(f"b=2\nc=2\nh_from=4\nh_to=4\n{bad}\n")
+
+    @pytest.mark.parametrize("key,value", [
+        ("trials", "x"), ("c", "two"), ("heights", "1,x"), ("seed", "1.5"), ("epsilon", "small"),
+    ])
+    def test_from_text_names_the_key_and_line_of_an_unreadable_value(self, key, value):
+        lines = {"b": "2", "c": "2", "h_from": "4", "h_to": "4", key: value}
+        text = "".join(f"{k}={v}\n" for k, v in lines.items())
+        named = f"config line {list(lines).index(key) + 1}: {key} = {value!r}: "
+        with pytest.raises(ValueError, match=re.escape(named)):
+            ExperimentConfig.from_text(text)
 
     def test_items_echo_contains_everything(self):
         keys = {k for k, _ in cfg().items()}
@@ -299,6 +315,28 @@ class TestTrend:
         # the union over C(16, 1) = 16 singletons is 16 * exp(-15/16).
         assert pt.per_set_bound == pytest.approx(math.exp(-15 / 16), rel=1e-12)
         assert pt.union_bound == pytest.approx(16 * math.exp(-15 / 16), rel=1e-12)
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_sizes_from_two_count_the_sets_a_sparse_oracle_accepts(self, directed):
+        # m_star > 3 in each row, so sizes 2 and 3 are tallied over all C(n, m) sets
+        nontrivial = 0
+        for b, c, alpha, h_from, h_to in ((2, 2.0, "0.3", 3, 4), (2, 1.5, "0.5", 3, 4),
+                                          (3, 2.0, "0.5", 2, 2)):
+            run = ExperimentConfig(b=b, c=c, h_from=h_from, h_to=h_to, alpha=alpha,
+                                   trials=1, seed=3, heights=(), directed=directed)
+            sizes = [pt.size for pt in trend_sparse_below_mstar(run)]
+            assert m_star(alpha, b, c) > 3 and {2, 3} <= set(sizes)
+            for pt in trend_sparse_below_mstar(run):
+                if pt.size < 2:
+                    continue
+                seed = run.trial_seed(pt.tree_height, 0)
+                g = sample_graph(run.params_for(pt.tree_height), seed, directed=directed)
+                sets = list(combinations(range(pt.n), pt.size))
+                accepted = sum(naive_is_externally_sparse(M, g, run.alpha) for M in sets)
+                assert pt.exhaustive and pt.candidates_per_trial == len(sets)
+                assert round(pt.candidate_freq * pt.candidates_per_trial) == accepted
+                nontrivial += 0 < accepted < len(sets)
+        assert nontrivial >= 3
 
     def test_per_set_bound_dominates_sparse_singleton_probability(self):
         # A singleton is externally sparse exactly when no edge (no arc, when

@@ -8,10 +8,15 @@ arithmetic) so the tests never trust the code path they are checking.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+from cga.generator import Graph
+from cga.rng import check_seed, substream
+from cga.tree import TreeParams, pair_height
 
 
 def to_digits(x: int, b: int, H: int) -> list[int]:
@@ -53,24 +58,56 @@ def all_pair_probs(b: int, H: int, c: float) -> dict[tuple[int, int], float]:
     }
 
 
+def has_edge(g, u: int, v: int) -> bool:
+    """Oracle for one adjacency test: a binary search of u's neighbor
+    tuple (the arc u -> v, when the graph is directed)."""
+    nb = g.neighbors(u)
+    i = bisect_left(nb, v)
+    return i < len(nb) and nb[i] == v
+
+
+def naive_edges_into(g, u: int, members) -> int:
+    """e(u, M) by one has_edge test per member, never counting u itself."""
+    return sum(1 for w in members if w != u and has_edge(g, u, w))
+
+
+def naive_is_externally_sparse(members, g, alpha: Fraction) -> bool:
+    """Sparseness check straight from the definition: every non-member u
+    of M, out of all n leaves, has e(u, M) <= alpha * |M| exactly."""
+    members = set(members)
+    limit = alpha * len(members)
+    return all(naive_edges_into(g, u, members) <= limit
+               for u in range(g.params.n) if u not in members)
+
+
 def naive_is_cluster(members, g, alpha: Fraction, beta: Fraction) -> bool:
     """Cluster check straight from the definition, via has_edge over all
     pairs and exact rational thresholds.  Out-neighbor counting when the
     graph is directed."""
     members = tuple(sorted(members))
-    mset = set(members)
-    m = len(members)
-    for v in members:
-        e = sum(1 for w in members if w != v and g.has_edge(v, w))
-        if Fraction(e) < beta * m:
-            return False
-    for u in range(g.params.n):
-        if u in mset:
-            continue
-        e = sum(1 for w in members if g.has_edge(u, w))
-        if Fraction(e) > alpha * m:
-            return False
-    return True
+    return (all(naive_edges_into(g, v, members) >= beta * len(members) for v in members)
+            and naive_is_externally_sparse(members, g, alpha))
+
+
+def sample_graph_naive(params: TreeParams, seed: int, *, directed: bool = False) -> Graph:
+    """Oracle sampler: one independent coin per pair (two per pair when
+    directed), iterated in lexicographic pair order on stream label (0, 0).
+    O(n**2); kept as the distributional oracle for the batched sampler."""
+    check_seed(seed)
+    gen = substream(seed, 0, 0)
+    n, c = params.n, params.c
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            p = c ** -pair_height(u, v, params)
+            if directed:
+                if gen.random() < p:
+                    edges.append((u, v))
+                if gen.random() < p:
+                    edges.append((v, u))
+            elif gen.random() < p:
+                edges.append((u, v))
+    return Graph.from_edges(params, edges, directed=directed, seed=seed)
 
 
 def exact_binom_tail(n: int, p: Fraction, k0: int) -> Fraction:
