@@ -11,11 +11,14 @@ a class are cut into chunks of _BLOCK_CHUNK, and each chunk has its own
 Philox substream labelled (j, chunk).  On it the sampler draws every
 block's edge count from a binomial (numpy's exact inversion/BTPE
 implementation), then places that many distinct pairs per block uniformly
-via a partial Fisher-Yates over an implicit rank <-> pair bijection.  Work
-is therefore proportional to the number of blocks plus the number of
-edges produced, and the output for a given (params, seed, directed) is
-bit-identical whatever order the chunks are drawn in: each reads only its
-own stream.
+via a partial Fisher-Yates over an implicit rank <-> pair bijection, and
+decodes the ranks into leaf pairs with the class's scalar divisors.  Only
+the blocks with a repeated draw replay their swaps: in arrays (`_replay`)
+when they hold _ARRAY_REPLAY_MIN draws or more, else one block at a time
+(`_fisher_yates`).  Work is therefore proportional to the number of
+blocks plus the number of edges produced, and the output for a given
+(params, seed, directed) is bit-identical whatever order the chunks are
+drawn in: each reads only its own stream.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ from .tree import TreeParams, pair_height
 _BLOCK_CHUNK = 8192  # blocks per task and per stream; part of the layout
 _INT64_MAX = 2**63 - 1
 _LINES_PER_SLICE = 2**14  # edge-list lines formatted per step
+# draws in a chunk's blocks with a repeat from which the array replay is
+# the faster one: on a 2-vCPU VM it took about 14 us plus 0.05 us per
+# draw, and the blocks one at a time 0.8 us each plus 0.11 us per draw
+_ARRAY_REPLAY_MIN = 100
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -246,6 +253,58 @@ def _fisher_yates(draws: list[int]) -> list[int]:
     return out
 
 
+def _replay(draws: np.ndarray, low: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """What _fisher_yates deals, for the draws of whole blocks at once: draw
+    i is step low[i] of its block, and base[i] is block * population for
+    an order-keeping block number.
+
+    Step i deals its draw t unless an earlier step k of its block drew t
+    too; then it deals Q(k) for the last such k.  Q(k), the value that
+    position k held at step k, is k unless an earlier step m drew k, and
+    then Q(m) for the last such m.  A stable sort of the keys base + draw
+    lines up the steps that drew one value in step order, one search finds
+    each m, and pointer jumping follows each chain of m to its start."""
+    keys = base + draws
+    order = keys.argsort(kind="stable")
+    ranked = keys[order]
+    same = (ranked[1:] == ranked[:-1]).nonzero()[0]
+    earlier = np.full(len(keys), -1)  # the last earlier step with the same draw
+    earlier[order[same + 1]] = order[same]
+    # the last step m <= k that drew k; m = k is a self-swap, whose Q no
+    # later step reads, since a later step draws above k
+    own = base + low  # the key of the value k
+    at = ranked.searchsorted(own, side="right") - 1
+    step = np.arange(len(keys))
+    start = np.where(ranked[at] == own, order[at], step)
+    while True:  # start[k] <= k, and each pass halves the chains left
+        up = start[start]
+        if (up == start).all():
+            break
+        start = up
+    dealt = draws.copy()
+    repeat = earlier >= 0
+    dealt[repeat] = low[start[earlier[repeat]]]
+    return dealt
+
+
+def _deal_repeats(ranks, low, owner, population, counts, starts, repeats) -> None:
+    """Deal in place the draws of the chunk's blocks `repeats` (indices
+    within the chunk, maybe more than once each) by their partial
+    Fisher-Yates shuffles: in arrays when those blocks hold
+    _ARRAY_REPLAY_MIN draws or more, else one block at a time."""
+    if len(ranks) >= _ARRAY_REPLAY_MIN:  # else the repeat blocks hold fewer
+        in_repeat = np.zeros(len(counts), bool)
+        in_repeat[repeats] = True
+        in_repeat = in_repeat.repeat(counts)
+        if np.count_nonzero(in_repeat) >= _ARRAY_REPLAY_MIN:
+            ranks[in_repeat] = _replay(ranks[in_repeat], low[in_repeat],
+                                       owner[in_repeat] * population)
+            return
+    for i in set(repeats.tolist()):
+        lo, hi = starts[i], starts[i] + counts[i]
+        ranks[lo:hi] = _fisher_yates(ranks[lo:hi].tolist())
+
+
 def _sample_blocks(
     params: TreeParams,
     seed: int,
@@ -254,39 +313,58 @@ def _sample_blocks(
     block_lo: int,
     block_hi: int,
     sampler: SubstreamSampler,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (arcs) placed in height-j blocks [block_lo, block_hi), in
-    block order, as a (3, k) array of rows: rank within the block, root
-    leaf of the block, and b**(j-1), the leaf count of a child.
+    block order, as the arrays (u, v) of their leaf pairs.
 
     The blocks are one task: block_lo starts a chunk of _BLOCK_CHUNK
     blocks and the range stays within it.  The chunk's stream (j, chunk)
     draws the binomial counts of all its blocks in one call, then the
     placement draws gen.integers(t, population) of every block in block
     order, t counting within each block, in one more; a partial
-    Fisher-Yates shuffle deals each block's draws."""
+    Fisher-Yates shuffle deals each block's draws.  One sort of the keys
+    block * population + draw finds the blocks with a repeated draw, and
+    only their draws are replayed (`_deal_repeats`).  The ranks then
+    decode with the class's divisors b**(j-1) and b**(2*(j-1)) and the
+    block roots, with the arc direction in the lowest digit."""
     b = params.b
-    population = math.comb(b, 2) * b ** (2 * (j - 1)) * (2 if directed else 1)
+    sub = b ** (j - 1)  # the leaves of a child
+    population = math.comb(b, 2) * sub * sub * (2 if directed else 1)
     gen = sampler.reset(seed, j, block_lo // _BLOCK_CHUNK)
     counts = gen.binomial(population, params.c ** -j, size=block_hi - block_lo)
-    owner = np.arange(block_lo, block_hi).repeat(counts)  # the block of each draw
     if counts.max() < 2:  # each draw is the first of its block: t = 0, no repeats
-        draws = gen.integers(0, population, size=len(owner))
+        root = np.arange(block_lo * b * sub, block_hi * b * sub, b * sub).repeat(counts)
+        ranks = gen.integers(0, population, size=len(root))
     else:
+        owner = np.arange(block_lo, block_hi).repeat(counts)  # the block of each draw
+        root = owner * (b * sub)
         starts = counts.cumsum() - counts
-        draws = gen.integers(np.arange(len(owner)) - starts.repeat(counts), population)
-        # a repeated draw needs the shuffle replayed (see _fisher_yates); a
-        # key stays below the class's pair count, at most the top population
-        keys = owner * population + draws
+        low = np.arange(len(owner)) - starts.repeat(counts)
+        ranks = gen.integers(low, population)
+        # a repeated draw needs the shuffle replayed; a key stays below
+        # the class's pair count, at most the top population
+        keys = owner * population + ranks
         keys.sort()
-        for i in set((keys[1:][keys[1:] == keys[:-1]] // population).tolist()):
-            lo, hi = starts[i - block_lo], starts[i - block_lo] + counts[i - block_lo]
-            draws[lo:hi] = _fisher_yates(draws[lo:hi].tolist())
-    out = np.empty((3, len(draws)), np.int64)
-    out[0] = draws
-    np.multiply(owner, b**j, out=out[1])
-    out[2] = b ** (j - 1)
-    return out
+        repeats = keys[1:][keys[1:] == keys[:-1]] // population  # their blocks
+        if len(repeats):
+            _deal_repeats(ranks, low, owner, population, counts, starts, repeats - block_lo)
+    # rank -> (child pair, offset in the first child, offset in the second)
+    if directed:
+        ranks, flip = np.divmod(ranks, 2)
+    if b == 2:  # one child pair, (0, 1)
+        u, v = np.divmod(ranks, sub)
+        v += sub
+    else:
+        pair, rem = np.divmod(ranks, sub * sub)
+        u, v = np.divmod(rem, sub)
+        first, second = _child_pairs(b) * sub  # each pair's children, from the root
+        u += first[pair]
+        v += second[pair]
+    u += root
+    v += root
+    if directed:
+        u, v = np.where(flip, v, u), np.where(flip, u, v)
+    return u, v
 
 
 def sample_graph(params: TreeParams, seed: int, *, directed: bool = False) -> Graph:
@@ -308,20 +386,10 @@ def sample_graph(params: TreeParams, seed: int, *, directed: bool = False) -> Gr
         for j in range(1, params.H + 1)
         for lo in range(0, n // b**j, _BLOCK_CHUNK)
     ]
-
-    # rank -> (child pair, offset in the first child, offset in the second),
-    # with the arc direction in the lowest digit when directed
-    rank, root, sub = np.concatenate(chunks, axis=1)
+    uv = np.empty((2, sum(len(u) for u, _ in chunks)), np.int64)
+    np.concatenate([u for u, _ in chunks], out=uv[0])
+    np.concatenate([v for _, v in chunks], out=uv[1])
     del chunks
-    if directed:
-        rank, flip = np.divmod(rank, 2)
-    pair, rem = np.divmod(rank, sub * sub)
-    uv = _child_pairs(b)[:, pair] * sub  # the first leaves of the two children
-    uv[0] += rem // sub
-    uv[1] += rem % sub
-    uv += root
-    if directed:
-        uv = np.where(flip, uv[::-1], uv)
     return Graph.from_edges(params, uv.T, directed=directed, seed=seed)
 
 

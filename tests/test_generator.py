@@ -7,13 +7,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cga import generator
 from cga.generator import (
     Graph,
     _fisher_yates,
+    _replay,
     _sample_blocks,
     edge_list_text,
     edge_probability,
@@ -26,7 +27,8 @@ from cga.generator import (
 )
 from cga.rng import SubstreamSampler, splitmix64, substream
 from cga.tree import TreeParams
-from util import all_pair_probs, has_edge, reference_edge_list_text, sample_graph_naive
+from util import (all_pair_probs, block_pair, has_edge, reference_edge_list_text,
+                  sample_graph_naive)
 
 P22 = TreeParams(2, 2, 2.0)
 P23 = TreeParams(2, 3, 2.0)
@@ -536,6 +538,38 @@ def test_fisher_yates_matches_an_explicit_shuffle(data):
         assert dealt == draws
 
 
+def _blocks_of_draws(population: int, count: int):
+    """A block's `count` draws: step i draws from [i, population), often
+    one of the lowest values so that draws repeat and chain."""
+    return st.tuples(*(st.one_of(st.integers(i, min(i + 2, population - 1)),
+                                 st.integers(i, population - 1))
+                       for i in range(count))).map(list)
+
+
+@st.composite
+def _chunks_of_blocks(draw):
+    population = draw(st.integers(1, 12))
+    counts = draw(st.lists(st.integers(0, population), min_size=1, max_size=5))
+    # far from block 0, keys come near the top of the int64 range
+    first = draw(st.sampled_from([0, 2**63 // population - len(counts)]))
+    return population, first, [draw(_blocks_of_draws(population, k)) for k in counts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunk=_chunks_of_blocks())
+# a block without a repeat beside one with; self-draws (t = i); a chain of
+# three: step 3 deals Q(2) = Q(1) = Q(0) = 0
+@example(chunk=(5, 0, [[3, 4, 2], [0, 1, 2, 3], [1, 2, 3, 3], [2, 2, 2]]))
+@example(chunk=(12, 7, [[1, 2, 3, 4, 5, 5], [], [11, 11, 11, 11]]))
+def test_array_replay_matches_fisher_yates(chunk):
+    population, first, blocks = chunk
+    draws = [t for block in blocks for t in block]
+    low = [i for block in blocks for i in range(len(block))]
+    base = [(first + k) * population for k, block in enumerate(blocks) for _ in block]
+    got = _replay(np.array(draws, np.int64), np.array(low, np.int64), np.array(base, np.int64))
+    assert got.tolist() == [x for block in blocks for x in _fisher_yates(block)]
+
+
 def _population(b: int, j: int, directed: bool) -> int:
     return math.comb(b, 2) * b ** (2 * (j - 1)) * (2 if directed else 1)
 
@@ -566,19 +600,21 @@ def _reference_chunk(params, seed, directed, j, chunk) -> list[list[int]]:
 
 def _check_class_against_reference(params, seed, directed, j) -> int:
     """Check `_sample_blocks` over every chunk of class j against
-    `_reference_chunk`; returns the number of chunks."""
+    `_reference_chunk`, its ranks decoded by `util.block_pair`; returns
+    the number of chunks."""
     b = params.b
     blocks = params.n // b**j
     chunks = range(0, blocks, generator._BLOCK_CHUNK)
     sampler = SubstreamSampler()
     for lo in chunks:
         hi = min(lo + generator._BLOCK_CHUNK, blocks)
-        got = _sample_blocks(params, seed, directed, j, lo, hi, sampler)
+        u, v = _sample_blocks(params, seed, directed, j, lo, hi, sampler)
         want = _reference_chunk(params, seed, directed, j, lo // generator._BLOCK_CHUNK)
-        assert got[0].tolist() == [r for ranks in want for r in ranks]
-        assert got[1].tolist() == [i * b**j for i, ranks in zip(range(lo, hi), want)
-                                   for _ in ranks]
-        assert set(got[2].tolist()) <= {b ** (j - 1)}
+        assert list(zip(u.tolist(), v.tolist())) == [
+            (i * b**j + x, i * b**j + y)
+            for i, ranks in zip(range(lo, hi), want)
+            for x, y in (block_pair(r, b, j, directed) for r in ranks)
+        ]
     return len(chunks)
 
 
@@ -597,8 +633,11 @@ class TestChunkLayout:
         c = data.draw(st.one_of(st.floats(1.01, 1.3), st.floats(20.0, 1e6)), label="c")
         params = TreeParams(b, {2: 7, 3: 4}[b], c)
         j = data.draw(st.integers(1, params.H), label="j")
-        with mock.patch.object(generator, "_BLOCK_CHUNK", chunk):
-            _check_class_against_reference(params, seed, directed, j)
+        # every chunk with a repeat replays in arrays, then none does
+        for replay_min in (0, 2**63):
+            with mock.patch.object(generator, "_BLOCK_CHUNK", chunk), \
+                    mock.patch.object(generator, "_ARRAY_REPLAY_MIN", replay_min):
+                _check_class_against_reference(params, seed, directed, j)
 
     @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("c", [1.05, 50.0])

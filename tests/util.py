@@ -110,6 +110,22 @@ def sample_graph_naive(params: TreeParams, seed: int, *, directed: bool = False)
     return Graph.from_edges(params, edges, directed=directed, seed=seed)
 
 
+def block_pair(rank: int, b: int, j: int, directed: bool) -> tuple[int, int]:
+    """The leaf pair (arc) of `rank` in a height-j block, as offsets from
+    the block's first leaf.  The ranks walk the child pairs (i, k), i < k,
+    in order; within one, every offset x of child i with, in order, every
+    offset y of child k; and when directed, the arc (u, v) then (v, u)."""
+    sub = b ** (j - 1)
+    rank, arc = divmod(rank, 2) if directed else (rank, 0)
+    for i, k in combinations(range(b), 2):
+        if rank < sub * sub:
+            x, y = divmod(rank, sub)
+            u, v = i * sub + x, k * sub + y
+            return (v, u) if arc else (u, v)
+        rank -= sub * sub
+    raise ValueError("rank beyond the block's pairs")
+
+
 def exact_binom_tail(n: int, p: Fraction, k0: int) -> Fraction:
     """Pr(Bin(n, p) >= k0) in exact rational arithmetic."""
     if k0 <= 0:
