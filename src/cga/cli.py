@@ -7,14 +7,15 @@ any output can be reproduced from the output alone: an experiment's echo
 lines of config keys, with the `# ` taken off, are a config file for the
 same run.  All randomness flows from the --seed flag.  Exit codes: 0
 success (and "is a cluster" for verify), 1 verify found a non-cluster, 2
-usage or parameter error, 3 I/O failure, 4 work-budget refusal.  The CGA_WORK_BUDGET environment variable
-overrides the default work budget.
+usage or parameter error, 3 I/O failure, 4 work-budget refusal.  A refused
+run prints nothing to stdout: each command computes its result, or writes
+its file, before it echoes.  `oracle --budget` sets the subset search's work
+budget, by default `oracle.DEFAULT_WORK_BUDGET` checks.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import bounds as bounds_mod
@@ -72,19 +73,6 @@ def _at_least(least: int):
     return integer
 
 
-def _work_budget() -> int:
-    raw = os.environ.get("CGA_WORK_BUDGET")
-    if raw is None:
-        return DEFAULT_WORK_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"CGA_WORK_BUDGET must be an integer, got {raw!r}") from exc
-    if budget < 0:
-        raise ValueError(f"CGA_WORK_BUDGET must be >= 0, got {budget}")
-    return budget
-
-
 def _parse_set(text: str, params: TreeParams) -> VertexSet:
     try:
         members = [int(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -98,6 +86,7 @@ def _parse_set(text: str, params: TreeParams) -> VertexSet:
 def cmd_generate(args) -> int:
     params = TreeParams(args.b, args.height, args.c)
     g = sample_graph(params, args.seed, directed=args.directed)
+    write_edge_list(g, args.out)
     _echo_config(
         sys.stdout,
         [
@@ -111,7 +100,6 @@ def cmd_generate(args) -> int:
             ("out", args.out),
         ],
     )
-    write_edge_list(g, args.out)
     print(f"wrote {g.edge_count} {'arcs' if g.directed else 'edges'} to {args.out}")
     return EXIT_OK
 
@@ -128,6 +116,7 @@ def cmd_verify(args) -> int:
     g = read_edge_list(args.graph)
     spec, mode = _spec_from_args(args, g)
     M = _parse_set(args.set, g.params)
+    rep = event_report(M, g, spec, args.hstar if args.hstar is not None else g.params.H)
     _echo_config(
         sys.stdout,
         [
@@ -140,8 +129,6 @@ def cmd_verify(args) -> int:
             ("hstar", args.hstar if args.hstar is not None else ""),
         ],
     )
-    h_star = args.hstar if args.hstar is not None else g.params.H
-    rep = event_report(M, g, spec, h_star)
     print(f"set_height={M.height}")
     print(f"dense={str(rep.dense).lower()}")
     print(f"sparse={str(rep.externally_sparse).lower()}")
@@ -172,6 +159,7 @@ def _print_cluster_list(result, out) -> None:
 def cmd_enumerate(args) -> int:
     g = read_edge_list(args.graph)
     spec, mode = _spec_from_args(args, g)
+    result = enumerate_complete_clusters(g, spec, args.height)
     _echo_config(
         sys.stdout,
         [
@@ -183,7 +171,6 @@ def cmd_enumerate(args) -> int:
             ("height", args.height),
         ],
     )
-    result = enumerate_complete_clusters(g, spec, args.height)
     _print_cluster_list(result, sys.stdout)
     return EXIT_OK
 
@@ -191,7 +178,7 @@ def cmd_enumerate(args) -> int:
 def cmd_oracle(args) -> int:
     g = read_edge_list(args.graph)
     spec, mode = _spec_from_args(args, g)
-    budget = args.budget if args.budget is not None else _work_budget()
+    result = enumerate_clusters(g, spec, args.max_size, work_budget=args.budget)
     _echo_config(
         sys.stdout,
         [
@@ -201,10 +188,9 @@ def cmd_oracle(args) -> int:
             ("beta", spec.beta),
             ("mode", mode),
             ("max_size", args.max_size),
-            ("work_budget", budget),
+            ("work_budget", args.budget),
         ],
     )
-    result = enumerate_clusters(g, spec, args.max_size, work_budget=budget)
     _print_cluster_list(result, sys.stdout)
     return EXIT_OK
 
@@ -363,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--max-size", type=int, required=True, dest="max_size")
-    p.add_argument("--budget", type=_at_least(0), default=None, help="work budget override")
+    p.add_argument("--budget", type=_at_least(0), default=DEFAULT_WORK_BUDGET,
+                   help="work budget in elementary checks")
     p.add_argument("--mode", choices=["undirected", "directed-out"], default=None, help=MODE_HELP)
     p.set_defaults(func=cmd_oracle)
 

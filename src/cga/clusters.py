@@ -139,7 +139,7 @@ def event_report(M, g: Graph, spec: ClusterSpec, h_star: int) -> EventReport:
 
     E1 covers S(M) \\ M, E2 covers S(M, h_star) \\ S(M), E3 the rest of
     the graph; their conjunction is exactly external sparseness for any
-    set_height(M) <= h_star <= H.
+    M.height <= h_star <= H.
     """
     M = _as_set(M, g)
     if not M.members:
@@ -192,7 +192,7 @@ def internal_edge_count(S, g: Graph) -> int:
     """Number of edges with both endpoints in S (arcs counted once)."""
     S = _as_set(S, g)
     ms = S.member_set
-    total = sum(1 for v in S.members for w in g.neighbors(v) if w in ms)
+    total = sum(1 for w in g.csr.gather(S.members) if w in ms)
     return total if g.directed else total // 2
 
 

@@ -157,6 +157,8 @@ class ExperimentConfig:
         unknown = self.measures - ALL_MEASURES
         if unknown:
             raise ValueError(f"unknown measures: {sorted(unknown)}")
+        if len(set(self.heights)) < len(self.heights):
+            raise ValueError(f"heights must be distinct, got {','.join(map(str, self.heights))}")
         for h in self.heights:
             if not 0 <= h <= self.h_from:
                 raise ValueError(

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .rng import SubstreamSampler, check_seed
-from .tree import TreeParams, pair_height
+from .tree import TreeParams
 
 _BLOCK_CHUNK = 8192  # blocks per task and per stream; part of the layout
 _INT64_MAX = 2**63 - 1
@@ -81,13 +81,6 @@ class Csr(NamedTuple):
         starts = np.concatenate(([len(src) > 0], ~same_row)).nonzero()[0]
         indptr = np.concatenate((starts, [len(src)]))
         return cls(_frozen(src[starts]), _frozen(indptr), _frozen(dst))
-
-    def row(self, v: int) -> np.ndarray:
-        """The neighbors of v; empty when v has none."""
-        k = self.rows.searchsorted(v)
-        if k < len(self.rows) and self.rows[k] == v:
-            return self.indices[self.indptr[k] : self.indptr[k + 1]]
-        return self.indices[:0]
 
     def gather(self, vs: Sequence[int]) -> list[int]:
         """The neighbors of each vertex of the ascending vs, row after row,
@@ -163,12 +156,6 @@ class Graph:
             and all(np.array_equal(a, b) for a, b in zip(self.csr, other.csr))
         )
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(self.csr.row(v).tolist())
-
-    def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(self.in_csr.row(v).tolist())
-
     def count_with_in_neighbors(self) -> int:
         """The number of vertices with at least one in-neighbor (with any
         neighbor, when undirected)."""
@@ -216,11 +203,6 @@ class Graph:
         else:
             csr = Csr.from_arcs(np.concatenate((u, v)), np.concatenate((v, u)), params.n)
         return cls(params, directed, seed, csr, len(arr))
-
-
-def edge_probability(u: int, v: int, params: TreeParams) -> float:
-    """Probability c**(-h(u,v)) of the edge {u, v}; lies in (0, 1)."""
-    return params.c ** -pair_height(u, v, params)
 
 
 def expected_edge_count(params: TreeParams) -> float:

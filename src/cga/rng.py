@@ -80,13 +80,10 @@ class SubstreamSampler:
         # only its key changes from one reset to the next
         self._state = self._bitgen.state
         self._key = self._state["state"]["key"]
-        self._label = None  # the (seed, a) whose key half k0 is cached
-        self._k0 = 0
 
     def reset(self, seed: int, a: int, b: int) -> np.random.Generator:
-        if self._label != (seed, a):  # the key (k0, k1) of the module docstring
-            self._label, self._k0 = (seed, a), splitmix64(seed, a)
-        self._key[0] = splitmix64(seed ^ STREAM_SALT, b)  # numpy stores the low word first
-        self._key[1] = self._k0
+        # the key of the module docstring; numpy stores the low word first
+        self._key[0] = splitmix64(seed ^ STREAM_SALT, b)
+        self._key[1] = splitmix64(seed, a)
         self._bitgen.state = self._state
         return self.gen

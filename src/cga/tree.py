@@ -86,8 +86,6 @@ class VertexSet:
             return cls((), 0, 0)
         for u in (members[0], members[-1]):
             params.check_leaf(u)
-        if members[0] < 0:
-            raise ValueError(f"leaf index {members[0]} out of range")
         h = 0 if len(members) == 1 else pair_height(members[0], members[-1], params)
         block = params.b ** h
         return cls(members, h, (members[0] // block) * block)
@@ -125,71 +123,6 @@ def pair_height(u: int, v: int, params: TreeParams) -> int:
         v //= b
         h += 1
     return h
-
-
-def set_height(M: VertexSet | Iterable[int], params: TreeParams) -> int:
-    """Height of the minimal complete subtree containing all of M.
-
-    0 for singletons; otherwise the maximum pairwise height, which with
-    contiguous labelling equals the height of the (min, max) pair and is
-    computed in O(|M|).
-    """
-    if isinstance(M, VertexSet):
-        if not M.members:
-            raise ValueError("set height undefined for the empty set")
-        return M.height
-    members = list(M)
-    if not members:
-        raise ValueError("set height undefined for the empty set")
-    lo, hi = min(members), max(members)
-    if lo == hi:
-        params.check_leaf(lo)
-        return 0
-    return pair_height(lo, hi, params)
-
-
-def enclosing_complete_set(
-    M: VertexSet | Iterable[int], h_prime: int, params: TreeParams
-) -> VertexSet:
-    """The unique complete set of height h_prime containing M.
-
-    Requires set_height(M) <= h_prime <= H.  With h_prime equal to the set
-    height this is the minimal complete set containing M.
-    """
-    if not isinstance(M, VertexSet):
-        M = VertexSet.from_leaves(M, params)
-    if not M.members:
-        raise ValueError("enclosing complete set undefined for the empty set")
-    if h_prime < M.height:
-        raise ValueError(
-            f"requested height {h_prime} is below the set height {M.height}"
-        )
-    if h_prime > params.H:
-        raise ValueError(f"requested height {h_prime} exceeds tree height {params.H}")
-    block = params.b ** h_prime
-    root = (M.root // block) * block
-    return VertexSet(tuple(range(root, root + block)), h_prime, root)
-
-
-def height_from_set(u: int, M: VertexSet | Iterable[int], params: TreeParams) -> int:
-    """The common pair height between u and every leaf of the minimal
-    complete set containing M.
-
-    Requires u to lie outside that complete set; the result exceeds
-    set_height(M).
-    """
-    if not isinstance(M, VertexSet):
-        M = VertexSet.from_leaves(M, params)
-    if not M.members:
-        raise ValueError("height from the empty set is undefined")
-    params.check_leaf(u)
-    block = params.b ** M.height
-    if M.root <= u < M.root + block:
-        raise ValueError(
-            f"leaf {u} lies inside the enclosing complete set [{M.root}, {M.root + block})"
-        )
-    # every leaf of the enclosing set gives the same height; use its root
-    return pair_height(u, M.root, params)
 
 
 def pairs_at_height(j: int, h: int, params: TreeParams) -> int:

@@ -31,7 +31,7 @@ from cga.experiments import ExperimentConfig, trend_sparse_below_mstar
 from cga.generator import expected_edge_count, sample_graph
 from cga.oracle import enumerate_clusters, enumerate_complete_clusters
 from cga.rng import splitmix64, substream
-from cga.tree import TreeParams, VertexSet, pair_height, pairs_at_height, set_height
+from cga.tree import TreeParams, VertexSet, pair_height, pairs_at_height
 from util import all_pair_probs, exact_binom_tail, naive_is_externally_sparse
 
 HALF = ClusterSpec("0.5", "0.5")
@@ -77,7 +77,7 @@ def test_c02_decomposition_exactness():
         for _ in range(100):
             members = rng.sample(range(64), rng.randint(1, 8))
             sparse = naive_is_externally_sparse(members, g, HALF.alpha)
-            h = set_height(members, p)
+            h = VertexSet.from_leaves(members, p).height
             for h_star in range(h, 7):
                 rep = event_report(members, g, HALF, h_star)
                 assert (rep.e1 and rep.e2 and rep.e3) == sparse, (seed, members, h_star)

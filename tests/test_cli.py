@@ -199,19 +199,19 @@ class TestEnumerateAndOracle:
                     "--beta", "0.5", "--max-size", "4"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
+        assert "# work_budget=1000000000\n" in out  # the default budget
         g = read_edge_list(out_path)
         expected = enumerate_clusters(g, ClusterSpec("0.5", "0.5"), 4)
         listed = [l.split()[0] for l in out.splitlines()
                   if l and not l.startswith("#") and "wrote" not in l]
         assert listed == [",".join(map(str, M.members)) for M in expected.clusters]
 
-    def test_budget_env_override_exits_4(self, tmp_path, monkeypatch, capsys):
+    def test_budget_flag_exits_4(self, tmp_path, capsys):
         path = tmp_path / "g.el"
         run(["generate", "--b", "2", "--height", "4", "--c", "2",
              "--seed", "5", "--out", str(path)])
-        monkeypatch.setenv("CGA_WORK_BUDGET", "10")
         code = run(["oracle", "--graph", str(path), "--alpha", "0.5",
-                    "--beta", "0.5", "--max-size", "5"])
+                    "--beta", "0.5", "--max-size", "5", "--budget", "10"])
         assert code == EXIT_BUDGET
 
     def test_negative_budget_flag_exits_2(self, edge_file, capsys):
@@ -221,18 +221,9 @@ class TestEnumerateAndOracle:
         assert exc.value.code == EXIT_USAGE
         assert "--budget: must be >= 0, got -1" in capsys.readouterr().err
 
-    def test_negative_budget_env_exits_2(self, edge_file, monkeypatch, capsys):
-        monkeypatch.setenv("CGA_WORK_BUDGET", "-5")
-        assert run(["oracle", "--graph", edge_file, "--alpha", "0.5", "--beta", "0.5",
-                    "--max-size", "2"]) == EXIT_USAGE
-        assert "CGA_WORK_BUDGET must be >= 0, got -5" in capsys.readouterr().err
-
-    def test_zero_budget_is_a_budget(self, edge_file, monkeypatch):
+    def test_zero_budget_is_a_budget(self, edge_file):
         assert run(["oracle", "--graph", edge_file, "--alpha", "0.5", "--beta", "0.5",
                     "--max-size", "2", "--budget", "0"]) == EXIT_BUDGET
-        monkeypatch.setenv("CGA_WORK_BUDGET", "0")
-        assert run(["oracle", "--graph", edge_file, "--alpha", "0.5", "--beta", "0.5",
-                    "--max-size", "2"]) == EXIT_BUDGET
 
 
 class TestBounds:
@@ -276,18 +267,6 @@ class TestBounds:
         captured = capsys.readouterr()
         assert captured.out == "" and "epsilon must be finite and >= 0" in captured.err
 
-    @pytest.mark.parametrize("flags,named", [
-        (["--tail-n", "10", "--tail-p", "1.5", "--tail-t", "2"], "probability must lie in (0, 1)"),
-        (["--mu", "-1", "--t", "2"], "mu must be positive"),
-        (["--tail-n", "10", "--tail-p", "0.1", "--tail-t", "1"], "t must exceed 1"),
-        (["--height", "4", "--m", "2"], "guarantee requires m > m_star"),
-    ], ids=["tail-p", "mu", "tail-t", "m-at-m-star"])
-    def test_refusal_prints_nothing_to_stdout(self, capsys, flags, named):
-        code = run(["bounds", "--b", "2", "--c", "2", "--alpha", "0.5", *flags])
-        assert code == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == "" and named in captured.err
-
     def test_tail_and_janson(self, capsys):
         code = run(["bounds", "--b", "2", "--c", "2", "--alpha", "0.5",
                     "--tail-n", "10", "--tail-p", "0.1", "--tail-t", "2",
@@ -297,6 +276,49 @@ class TestBounds:
         for key in ("binom_tail_bound=", "binom_tail_simple=", "binom_tail_exact=",
                     "janson_upper=", "janson_lower="):
             assert key in out
+
+
+BOUNDS = ["bounds", "--b", "2", "--c", "2", "--alpha", "0.5"]
+ON_GRAPH = ["--graph", "{graph}", "--alpha", "0.5", "--beta", "0.5"]
+
+# Each refused argv, its exit code and a fragment of its error message;
+# "{graph}" stands for an H=4 edge list, "{missing}" for a path in a
+# directory that does not exist.
+REFUSALS = {
+    "bounds-tail-p": ([*BOUNDS, "--tail-n", "10", "--tail-p", "1.5", "--tail-t", "2"],
+                      EXIT_USAGE, "probability must lie in (0, 1)"),
+    "bounds-mu": ([*BOUNDS, "--mu", "-1", "--t", "2"], EXIT_USAGE, "mu must be positive"),
+    "bounds-tail-t": ([*BOUNDS, "--tail-n", "10", "--tail-p", "0.1", "--tail-t", "1"],
+                      EXIT_USAGE, "t must exceed 1"),
+    "bounds-m-at-m-star": ([*BOUNDS, "--height", "4", "--m", "2"],
+                           EXIT_USAGE, "guarantee requires m > m_star"),
+    "verify-hstar-above-H": (["verify", *ON_GRAPH, "--set", "0,1", "--hstar", "9"],
+                             EXIT_USAGE, "h_star must lie in [1, 4], got 9"),
+    "verify-hstar-below-set": (["verify", *ON_GRAPH, "--set", "0,1", "--hstar", "0"],
+                               EXIT_USAGE, "h_star must lie in [1, 4], got 0"),
+    "enumerate-height-above-H": (["enumerate", *ON_GRAPH, "--height", "9"],
+                                 EXIT_USAGE, "height must lie in [0, 4], got 9"),
+    "enumerate-negative-height": (["enumerate", *ON_GRAPH, "--height", "-1"],
+                                  EXIT_USAGE, "height must lie in [0, 4], got -1"),
+    "oracle-max-size-zero": (["oracle", *ON_GRAPH, "--max-size", "0"],
+                             EXIT_USAGE, "max_size must be >= 1, got 0"),
+    "oracle-over-budget": (["oracle", *ON_GRAPH, "--max-size", "9", "--budget", "5"],
+                           EXIT_BUDGET, "exceeds the budget of 5"),
+    "generate-missing-directory": (["generate", "--b", "2", "--height", "3", "--c", "2",
+                                    "--seed", "1", "--out", "{missing}"],
+                                   EXIT_IO, "No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal_prints_nothing_to_stdout(tmp_path, capsys, case):
+    argv, code, named = REFUSALS[case]
+    graph = tmp_path / "g.el"
+    graph.write_text("# cga b=2 H=4 c=2 seed=0 directed=0\n0 1\n2 3\n")
+    paths = {"{graph}": str(graph), "{missing}": str(tmp_path / "missing" / "g.el")}
+    assert run([paths.get(arg, arg) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
 
 
 SWEEP_CONFIG = """\
@@ -347,6 +369,7 @@ BAD_CONFIGS = {
     "h-star-below-scanned-height": ("seed = 11", "seed = 11\nh_star = 1", "h_star 1 outside [2, 4]"),
     "missing-key": ("b = 2\n", "", "missing config keys: ['b']"),
     "non-integer-trials": ("trials = 4", "trials = x", "config line 8: trials = 'x': invalid literal"),
+    "repeated-height": ("heights = 0,1,2", "heights = 1,2,1", "heights must be distinct, got 1,2,1"),
 }
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

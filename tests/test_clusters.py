@@ -17,7 +17,7 @@ from cga.clusters import (
     is_cluster,
 )
 from cga.generator import Graph, sample_graph
-from cga.tree import TreeParams, set_height
+from cga.tree import TreeParams, VertexSet
 from util import has_edge, naive_edges_into, naive_is_cluster, naive_is_externally_sparse
 
 P22 = TreeParams(2, 2, 2.0)
@@ -165,7 +165,7 @@ class TestEventReport:
             for _ in range(40):
                 members = rng.sample(range(16), rng.randint(1, 5))
                 sparse = naive_is_externally_sparse(members, g, HALF.alpha)
-                h = set_height(members, g.params)
+                h = VertexSet.from_leaves(members, g.params).height
                 for h_star in range(h, 5):
                     rep = event_report(members, g, HALF, h_star)
                     assert (rep.e1 and rep.e2 and rep.e3) == sparse
@@ -356,7 +356,7 @@ def test_offset_scan_agrees_with_event_report_and_definition_oracle(data):
     offsets = tuple(sorted(root + x for x in picked))
     block = b**h
     sets = [[i * block + x for x in offsets] for i in range(b**H // block)]
-    height = set_height(offsets, g.params)
+    height = VertexSet.from_leaves(offsets, g.params).height
     naive = [naive_is_cluster(M, g, spec.alpha, spec.beta) for M in sets]
     for h_star in range(height, H + 1):
         scan = complete_set_scan(g, spec, h, h_star, offsets)

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cga.tree import (
-    TreeParams,
-    VertexSet,
-    enclosing_complete_set,
-    height_from_set,
-    pair_height,
-    pairs_at_height,
-    set_height,
-)
+from cga.tree import TreeParams, VertexSet, pair_height, pairs_at_height
 from util import ancestor_walk_distance, digit_height
 
 P23 = TreeParams(2, 3, 2.0)
@@ -90,69 +82,71 @@ class TestPairHeight:
             assert heights[(u, v)] <= max(heights[(u, w)], heights[(w, v)])
 
 
+def height(members, params=P23) -> int:
+    return VertexSet.from_leaves(members, params).height
+
+
+def enclosing_block(M: VertexSet, h_prime: int, b: int = 2) -> range:
+    """S(M, h'): the height-h' subtree holding M.root, by the integer rule
+    u // b**h' == M.root // b**h' that the verifier and the scan apply."""
+    lo = M.root // b**h_prime * b**h_prime
+    return range(lo, lo + b**h_prime)
+
+
 class TestSetHeight:
     def test_examples(self):
-        assert set_height([0, 1], P23) == 1
-        assert set_height([5], P23) == 0
-        assert set_height([0, 5], P23) == 3
+        assert height([0, 1]) == 1
+        assert height([5]) == 0
+        assert height([0, 5]) == 3
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            set_height([], P23)
+    def test_empty_set_has_height_zero(self):
+        M = VertexSet.from_leaves([], P23)
+        assert (M.members, M.height, M.root) == ((), 0, 0)
 
     @given(st.sets(st.integers(0, 7), min_size=1))
     def test_equals_max_pairwise_height(self, members):
         members = sorted(members)
         if len(members) == 1:
-            assert set_height(members, P23) == 0
+            assert height(members) == 0
             return
         expected = max(
             pair_height(u, v, P23) for u, v in combinations(members, 2)
         )
-        assert set_height(members, P23) == expected
+        assert height(members) == expected
 
 
-class TestEnclosingCompleteSet:
+class TestEnclosingBlock:
     def test_examples(self):
-        assert enclosing_complete_set([0, 1, 2], 2, P23).members == (0, 1, 2, 3)
-        assert enclosing_complete_set([6], 1, P23).members == (6, 7)
-        assert enclosing_complete_set([0], 3, P23).members == tuple(range(8))
-
-    def test_rejects_heights_outside_range(self):
-        with pytest.raises(ValueError):
-            enclosing_complete_set([0, 5], 2, P23)  # set height is 3
-        with pytest.raises(ValueError):
-            enclosing_complete_set([0], 4, P23)
+        assert enclosing_block(VertexSet.from_leaves([0, 1, 2], P23), 2) == range(4)
+        assert enclosing_block(VertexSet.from_leaves([6], P23), 1) == range(6, 8)
+        assert enclosing_block(VertexSet.from_leaves([0], P23), 3) == range(8)
 
     @given(st.sets(st.integers(0, 7), min_size=1), st.integers(0, 3))
-    def test_contains_m_with_exact_size(self, members, h_prime):
-        h = set_height(members, P23)
-        if h_prime < h:
-            return
-        S = enclosing_complete_set(members, h_prime, P23)
-        assert set(members) <= set(S.members)
-        assert len(S.members) == 2**h_prime
-        assert S.height == h_prime
+    def test_holds_m_from_its_height_on(self, members, h_prime):
+        M = VertexSet.from_leaves(members, P23)
+        S = enclosing_block(M, h_prime)
+        assert len(S) == 2**h_prime
+        # S(M, h') holds M exactly from the set height on: M is minimal
+        assert (set(members) <= set(S)) == (h_prime >= M.height)
 
 
-class TestHeightFromSet:
+class TestOutsiderHeight:
     def test_examples(self):
-        assert height_from_set(4, [0, 1], P23) == 3
-        assert height_from_set(2, [0, 1], P23) == 2
-        with pytest.raises(ValueError):
-            height_from_set(1, [0, 1], P23)
+        M = VertexSet.from_leaves([0, 1], P23)
+        assert pair_height(4, M.root, P23) == 3
+        assert pair_height(2, M.root, P23) == 2
 
     @given(st.sets(st.integers(0, 7), min_size=1), st.integers(0, 7))
-    def test_uniform_height_to_every_member_of_s(self, members, u):
+    def test_one_height_to_every_member_of_s(self, members, u):
+        # the region split of event_report and complete_set_scan rests on
+        # this: an outsider of S(M) has one pair height to all of it
         M = VertexSet.from_leaves(members, P23)
-        S = enclosing_complete_set(M, M.height, P23)
-        if u in set(S.members):
-            with pytest.raises(ValueError):
-                height_from_set(u, M, P23)
+        S = enclosing_block(M, M.height)
+        if u in S:
             return
-        j = height_from_set(u, M, P23)
-        assert j > M.height
-        assert all(pair_height(u, v, P23) == j for v in S.members)
+        heights = {pair_height(u, v, P23) for v in S}
+        assert len(heights) == 1
+        assert heights.pop() > M.height
 
 
 class TestPairsAtHeight:

@@ -58,10 +58,21 @@ def all_pair_probs(b: int, H: int, c: float) -> dict[tuple[int, int], float]:
     }
 
 
+def neighbors(g, v: int) -> tuple[int, ...]:
+    """Oracle for one vertex's sorted neighbor tuple (out-neighbors, when
+    the graph is directed): its row of the CSR, empty when it has none."""
+    return tuple(g.csr.gather([v]))
+
+
+def in_neighbors(g, v: int) -> tuple[int, ...]:
+    """The sorted in-neighbor tuple of v; `neighbors` when undirected."""
+    return tuple(g.in_csr.gather([v]))
+
+
 def has_edge(g, u: int, v: int) -> bool:
     """Oracle for one adjacency test: a binary search of u's neighbor
     tuple (the arc u -> v, when the graph is directed)."""
-    nb = g.neighbors(u)
+    nb = neighbors(g, u)
     i = bisect_left(nb, v)
     return i < len(nb) and nb[i] == v
 
