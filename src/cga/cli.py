@@ -22,13 +22,14 @@ from . import bounds as bounds_mod
 from .clusters import ClusterSpec, as_fraction, event_report
 from .experiments import (
     ExperimentConfig,
+    TrendRow,
+    XsRow,
     estimate_event_probs,
     events_csv,
+    rows_csv,
     run_threshold_sweep,
     sweep_csv,
-    trend_csv,
     trend_sparse_below_mstar,
-    xs_csv,
     xs_statistics,
 )
 from .generator import (
@@ -294,8 +295,8 @@ def load_experiment_config(path: str) -> ExperimentConfig:
 EXPERIMENTS = {
     "sweep": lambda cfg: sweep_csv(cfg, run_threshold_sweep(cfg)),
     "events": lambda cfg: events_csv(cfg, estimate_event_probs(cfg)),
-    "trend": lambda cfg: trend_csv(cfg, trend_sparse_below_mstar(cfg)),
-    "xs": lambda cfg: xs_csv(cfg, xs_statistics(cfg)),
+    "trend": lambda cfg: rows_csv(cfg, TrendRow, trend_sparse_below_mstar(cfg)),
+    "xs": lambda cfg: rows_csv(cfg, XsRow, xs_statistics(cfg)),
 }
 
 

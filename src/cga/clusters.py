@@ -111,10 +111,6 @@ class EventReport:
     witnesses: tuple[Witness, ...] = ()
 
     @property
-    def witness(self) -> Witness | None:
-        return self.witnesses[0] if self.witnesses else None
-
-    @property
     def externally_sparse(self) -> bool:
         return self.e1 and self.e2 and self.e3
 

@@ -9,11 +9,11 @@ identical output bytes.  Trials run in order on the calling thread.
 `ExperimentConfig` alone knows the config format and the probe set: its
 `from_text` reads back what its `items()` echoes.
 
-Sweep CSV format (one row per trial and scanned height, after `# key=value`
-comment lines echoing the full resolved config):
-
-    trial,seed,b,H,c,alpha,beta,epsilon,h,n,cliques,dense_complete,
-    complete_clusters,e1_rate,e2_rate,e3_rate,d_rate,edges,xs_mean,wall_ms
+Each experiment kind returns its CSV rows, one `NamedTuple` type per kind
+(`SweepRow`, `EventRow`, `TrendRow`, `XsRow`) whose fields are the CSV
+columns.  `rows_csv` prints them after `# key=value` comment lines echoing
+the full resolved config.  The sweep has one row per trial and scanned
+height.
 
 Measurements that were not collected are emitted as empty fields, never as
 zeros.  Wall-clock timing is a measurement like any other ("wall") and is
@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bounds import expected_internal_edges, m_star, threshold_heights
 from .clusters import (
@@ -43,11 +43,6 @@ from .tree import TreeParams, VertexSet
 
 ALL_MEASURES = frozenset({"cliques", "dense", "clusters", "events", "xs", "edges", "wall"})
 DEFAULT_MEASURES = frozenset({"cliques", "dense", "clusters", "events", "xs", "edges"})
-
-SWEEP_HEADER = (
-    "trial,seed,b,H,c,alpha,beta,epsilon,h,n,cliques,dense_complete,"
-    "complete_clusters,e1_rate,e2_rate,e3_rate,d_rate,edges,xs_mean,wall_ms"
-)
 
 DEFAULT_MAX_N = 2**22
 
@@ -254,40 +249,25 @@ class ExperimentConfig:
                 for key, val in values.items()]
 
 
-@dataclass(frozen=True)
-class HeightStats:
-    """Per-height tallies of one trial; None marks an uncollected value."""
-
-    height: int
-    cliques: int | None
-    dense_complete: int | None
-    complete_clusters: int | None
-    e1_rate: float | None
-    e2_rate: float | None
-    e3_rate: float | None
-    d_rate: float | None
-    xs_mean: float | None
-
-
-@dataclass(frozen=True)
-class TrialReport:
-    """One Monte Carlo observation.  Wall time is diagnostic metadata and
-    never part of report equality."""
-
-    trial: int
-    seed: int
-    tree_height: int
-    n: int
-    edge_count: int | None
-    per_height: tuple[HeightStats, ...]
-    wall_ms: float = field(default=0.0, compare=False)
-
-
-def _run_trials(cfg: ExperimentConfig, measure: Callable) -> list[list]:
+def _run_trials(cfg: ExperimentConfig, work: Callable, measure: Callable) -> list[list]:
     """Sample the graph of every (tree height, trial) once, on its trial
     seed, and return `measure(g, trial, seed, started)` for each, where
     `started` is the perf_counter reading taken before sampling.  Results
-    are grouped by tree height, in trial order."""
+    are grouped by tree height, in trial order.
+
+    Before any sampling, a run is refused if on some tree height H the
+    expected arcs of a graph plus the reads `work(H)` counts would exceed
+    the work budget.  `work(H)` is the pair (reads, context named by the
+    refusal), or None when graphs of H are not scanned.  The arcs are
+    twice `expected_edge_count`, as the CSR stores an undirected edge both
+    ways and a directed pair flips two coins."""
+    for tree_height in cfg.tree_heights:
+        scan = work(tree_height)
+        if scan is not None:
+            reads, context = scan
+            est = math.ceil(2 * expected_edge_count(cfg.params_for(tree_height))) + reads
+            if est > cfg.work_budget:
+                raise WorkBudgetError(est, cfg.work_budget, context)
 
     def run(tree_height: int, trial: int):
         started = time.perf_counter()
@@ -299,29 +279,55 @@ def _run_trials(cfg: ExperimentConfig, measure: Callable) -> list[list]:
             for tree_height in cfg.tree_heights]
 
 
-def _expected_arcs(cfg: ExperimentConfig, tree_height: int) -> int:
-    """The expected number of arcs a sampled graph stores in its CSR: twice
-    `expected_edge_count`, as an undirected edge is stored both ways and a
-    directed pair flips two coins."""
-    return math.ceil(2 * expected_edge_count(cfg.params_for(tree_height)))
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
-def _check_sweep_budget(cfg: ExperimentConfig, kind: str, heights: Callable) -> None:
-    """Refuse, before any sampling, a run whose scans at `heights(H)` on
-    every tree height H would exceed the work budget.  A scan reads each
-    stored arc and each leaf a bounded number of times."""
-    for tree_height in cfg.tree_heights:
-        est = _expected_arcs(cfg, tree_height) + cfg.b**tree_height
-        scanned = heights(tree_height)
-        if scanned and est > cfg.work_budget:
-            raise WorkBudgetError(
-                est, cfg.work_budget, f"{kind} at H={tree_height}, height={scanned[0]}"
-            )
+def rows_csv(cfg: ExperimentConfig, row_type: type, rows: Iterable[Sequence], echo=()) -> str:
+    """Render `rows` under the header `row_type._fields`, prefixed by the
+    resolved configuration and any extra `echo` pairs as `# key=value`
+    lines.  Floats print in shortest round-trip form and None as an empty
+    field."""
+    lines = [f"# {key}={val}" for key, val in (*cfg.items(), *echo)]
+    lines.append(",".join(row_type._fields))
+    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+class SweepRow(NamedTuple):
+    """One trial's scan of one height h, as a row of the sweep CSV.  None
+    marks a measurement that was not collected, wall time included."""
+
+    trial: int
+    seed: int
+    b: int
+    H: int
+    c: str
+    alpha: Fraction
+    beta: Fraction
+    epsilon: float
+    h: int
+    n: int
+    cliques: int | None
+    dense_complete: int | None
+    complete_clusters: int | None
+    e1_rate: float | None
+    e2_rate: float | None
+    e3_rate: float | None
+    d_rate: float | None
+    edges: int | None
+    xs_mean: float | None
+    wall_ms: float | None
 
 
 def _scan_height(
     g: Graph, spec: ClusterSpec, h: int, h_star: int, measures: frozenset[str]
-) -> HeightStats:
+) -> dict:
+    """The `SweepRow` columns that one scan at height h fills."""
     scan = complete_set_scan(g, spec, h, h_star)
     blocks = len(scan.internal)
     full = g.params.b**h * (g.params.b**h - 1) // 2
@@ -330,8 +336,7 @@ def _scan_height(
     want_clusters = "clusters" in measures or want_events
     dense = int(scan.dense.sum())
 
-    return HeightStats(
-        height=h,
+    return dict(
         cliques=int((scan.internal == full).sum()) if "cliques" in measures else None,
         dense_complete=dense if want_dense else None,
         complete_clusters=int(scan.cluster.sum()) if want_clusters else None,
@@ -343,66 +348,33 @@ def _scan_height(
     )
 
 
-def run_threshold_sweep(cfg: ExperimentConfig) -> list[TrialReport]:
+def run_threshold_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Sample trials across the configured tree heights and scan every
     requested height for cliques, dense complete sets, complete clusters,
-    event rates and internal-edge statistics."""
-    _check_sweep_budget(cfg, "sweep", lambda tree_height: cfg.heights)
-    spec = cfg.cluster_spec
+    event rates and internal-edge statistics, one row per trial and height."""
+    h_stars = {(H, h): cfg.resolve_h_star(H, h) for H in cfg.tree_heights for h in cfg.heights}
+    spec, c, eps = cfg.cluster_spec, format_real(cfg.c), cfg.resolved_epsilon
 
-    def measure(g: Graph, trial: int, seed: int, started: float) -> TrialReport:
-        tree_height = g.params.H
-        stats = tuple(
-            _scan_height(g, spec, h, cfg.resolve_h_star(tree_height, h), cfg.measures)
-            for h in cfg.heights
-        )
-        return TrialReport(
-            trial=trial,
-            seed=seed,
-            tree_height=tree_height,
-            n=g.params.n,
-            edge_count=g.edge_count if "edges" in cfg.measures else None,
-            per_height=stats,
-            wall_ms=(time.perf_counter() - started) * 1e3,
-        )
+    def work(tree_height: int):
+        if not cfg.heights:
+            return None  # the trials only sample and count edges
+        return cfg.b**tree_height, f"sweep at H={tree_height}, height={cfg.heights[0]}"
 
-    return [rep for group in _run_trials(cfg, measure) for rep in group]
+    def measure(g: Graph, trial: int, seed: int, started: float) -> list[SweepRow]:
+        H = g.params.H
+        scans = [_scan_height(g, spec, h, h_stars[H, h], cfg.measures) for h in cfg.heights]
+        edges = g.edge_count if "edges" in cfg.measures else None
+        wall = (time.perf_counter() - started) * 1e3 if "wall" in cfg.measures else None
+        return [SweepRow(trial, seed, cfg.b, H, c, cfg.alpha, cfg.beta, eps, h, g.params.n,
+                         edges=edges, wall_ms=wall, **scan)
+                for h, scan in zip(cfg.heights, scans)]
+
+    return [row for group in _run_trials(cfg, work, measure) for rows in group for row in rows]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _csv(cfg: ExperimentConfig, header: str, rows: Iterable[Sequence], echo=()) -> str:
-    """Render `rows` under `header`, prefixed by the resolved configuration
-    and any extra `echo` pairs as `# key=value` lines.  Floats print in
-    shortest round-trip form and None as an empty field."""
-    lines = [f"# {key}={val}" for key, val in (*cfg.items(), *echo)]
-    lines.append(header)
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def sweep_csv(cfg: ExperimentConfig, reports: Iterable[TrialReport]) -> str:
-    """Render sweep reports in the documented CSV layout, prefixed by the
-    resolved configuration."""
-    c, eps = format_real(cfg.c), cfg.resolved_epsilon
-    wall_on = "wall" in cfg.measures
-    rows = (
-        (
-            rep.trial, rep.seed, cfg.b, rep.tree_height, c, cfg.alpha, cfg.beta, eps,
-            hs.height, rep.n, hs.cliques, hs.dense_complete, hs.complete_clusters,
-            hs.e1_rate, hs.e2_rate, hs.e3_rate, hs.d_rate, rep.edge_count, hs.xs_mean,
-            rep.wall_ms if wall_on else None,
-        )
-        for rep in sorted(reports, key=lambda r: (r.tree_height, r.trial))
-        for hs in rep.per_height
-    )
-    return _csv(cfg, SWEEP_HEADER, rows)
+def sweep_csv(cfg: ExperimentConfig, rows: Iterable[SweepRow]) -> str:
+    """The sweep CSV; the benchmark times it by this name."""
+    return rows_csv(cfg, SweepRow, rows)
 
 
 # --- event probability estimation ------------------------------------------
@@ -420,90 +392,70 @@ def place_set(cfg: ExperimentConfig, block_root: int, params: TreeParams) -> Ver
     return VertexSet.from_leaves(members, params)
 
 
-@dataclass(frozen=True)
-class EventProbEstimate:
-    """Empirical event frequencies with standard errors, one per tree
-    height.  `freq["all"]` is the joint D, E1, E2, E3 frequency."""
+class EventRow(NamedTuple):
+    """The frequency of one event over the probe sets of one tree height,
+    with its standard error, as a row of the events CSV.  Event "all" is
+    the joint D, E1, E2, E3 event."""
 
-    tree_height: int
+    H: int
     n: int
-    h_star_used: int
-    placements_per_trial: int
-    trials: int
+    h_star: int
+    event: str
+    frequency: float
+    se: float
+    count: int
     observations: int
-    freq: dict[str, float]
-    se: dict[str, float]
-    counts: dict[str, int]
 
 
 EVENT_KEYS = ("D", "E1", "E2", "E3", "all")
 
 
-def estimate_event_probs(cfg: ExperimentConfig) -> list[EventProbEstimate]:
+def estimate_event_probs(cfg: ExperimentConfig) -> list[EventRow]:
     """Place one probe set per splitting block per trial and measure the
     frequency of each density/sparseness event, from one scan per trial."""
     if cfg.set_height is None or cfg.set_size is None:
         raise ValueError("events experiments need set_height and set_size in the config")
     spec = cfg.cluster_spec
     h_stars = {H: cfg.resolve_h_star(H, cfg.set_height) for H in cfg.tree_heights}
-    _check_sweep_budget(cfg, "events", lambda tree_height: (h_stars[tree_height],))
     # the probe set of block 0; the block at root r holds r + offsets
     offsets = place_set(cfg, 0, cfg.params_for(cfg.h_to)).members
+
+    def work(tree_height: int):
+        return cfg.b**tree_height, f"events at H={tree_height}, height={h_stars[tree_height]}"
 
     def measure(g: Graph, trial: int, seed: int, started: float) -> list[int]:
         h_star = h_stars[g.params.H]
         scan = complete_set_scan(g, spec, h_star, h_star, offsets)
         return [int(a.sum()) for a in (scan.dense, scan.e1, scan.e2, scan.e3, scan.cluster)]
 
-    results = []
-    for tree_height, tallies in zip(cfg.tree_heights, _run_trials(cfg, measure)):
-        params = cfg.params_for(tree_height)
-        probes = params.n // params.b ** h_stars[tree_height]
-        totals = [sum(t[i] for t in tallies) for i in range(len(EVENT_KEYS))]
-        obs = probes * cfg.trials
-        freq = {k: totals[i] / obs for i, k in enumerate(EVENT_KEYS)}
-        se = {
-            k: math.sqrt(freq[k] * (1 - freq[k]) / obs) for k in EVENT_KEYS
-        }
-        results.append(
-            EventProbEstimate(
-                tree_height=tree_height,
-                n=params.n,
-                h_star_used=h_stars[tree_height],
-                placements_per_trial=probes,
-                trials=cfg.trials,
-                observations=obs,
-                freq=freq,
-                se=se,
-                counts=dict(zip(EVENT_KEYS, totals)),
-            )
-        )
-    return results
+    rows = []
+    for tree_height, tallies in zip(cfg.tree_heights, _run_trials(cfg, work, measure)):
+        n, h_star = cfg.b**tree_height, h_stars[tree_height]
+        obs = n // cfg.b**h_star * cfg.trials
+        for key, count in zip(EVENT_KEYS, map(sum, zip(*tallies))):
+            freq = count / obs
+            se = math.sqrt(freq * (1 - freq) / obs)
+            rows.append(EventRow(tree_height, n, h_star, key, freq, se, count, obs))
+    return rows
 
 
-def events_csv(cfg: ExperimentConfig, estimates) -> str:
+def events_csv(cfg: ExperimentConfig, rows: Iterable[EventRow]) -> str:
+    """The events CSV, whose echo repeats the probe set as `template_*`."""
     echo = (
         ("template_height", cfg.set_height),
         ("template_size", cfg.set_size),
         ("template_placement", cfg.placement),
     )
-    rows = (
-        (est.tree_height, est.n, est.h_star_used, key, est.freq[key], est.se[key],
-         est.counts[key], est.observations)
-        for est in estimates
-        for key in EVENT_KEYS
-    )
-    return _csv(cfg, "H,n,h_star,event,frequency,se,count,observations", rows, echo)
+    return rows_csv(cfg, EventRow, rows, echo)
 
 
 # --- externally sparse sets below the size threshold ------------------------
 
 
-@dataclass(frozen=True)
-class TrendPoint:
-    """Empirical occurrence of externally sparse sets of one size at one
+class TrendRow(NamedTuple):
+    """Empirical occurrence of externally sparse sets of size m at one
     tree height, next to a per-set bound and its union over all C(n, m)
-    sets.
+    sets, as a row of the trend CSV.
 
     A non-member breaks sparseness of an m-set once it has
     k = floor(alpha*m) + 1 edges into it.  Every pair (every arc, when
@@ -511,11 +463,12 @@ class TrendPoint:
     from different non-members into the set are independent, so a fixed
     m-set is externally sparse with probability at most
     (1 - c**(-k*H))**(n - m) <= exp(-(n - m) * c**(-k*H)).  The bound is
-    1.0 when k > m, where no vertex can break sparseness."""
+    1.0 when k > m, where no vertex can break sparseness.  `exhaustive` is
+    1 when every m-set is a candidate (n <= 20), else 0."""
 
-    tree_height: int
+    H: int
     n: int
-    size: int
+    m: int
     trials: int
     exist_freq: float
     exist_se: float
@@ -523,7 +476,7 @@ class TrendPoint:
     candidate_se: float
     per_set_bound: float
     union_bound: float
-    exhaustive: bool
+    exhaustive: int
     candidates_per_trial: int
 
 
@@ -569,7 +522,7 @@ def _candidate_sets(
     return local
 
 
-def trend_sparse_below_mstar(cfg: ExperimentConfig) -> list[TrendPoint]:
+def trend_sparse_below_mstar(cfg: ExperimentConfig) -> list[TrendRow]:
     """For every integer size m below the threshold size, measure how often
     externally sparse sets of that size occur, per tree height."""
     ms = m_star(cfg.alpha, cfg.b, cfg.c)
@@ -583,15 +536,14 @@ def trend_sparse_below_mstar(cfg: ExperimentConfig) -> list[TrendPoint]:
             f"size m = {sizes[-1]} below m_star exceeds n = {cfg.b**cfg.h_from} "
             f"at H = {cfg.h_from}, so it has no candidate sets"
         )
-    # the singletons read the CSR; each candidate set of m >= 2 checks its m members
-    for tree_height in cfg.tree_heights:
-        n = cfg.b**tree_height
-        est = _expected_arcs(cfg, tree_height) + sum(
-            m * _candidate_count(cfg, n, m) for m in sizes if m >= 2)
-        if est > cfg.work_budget:
-            raise WorkBudgetError(est, cfg.work_budget, f"trend at H={tree_height}")
     spec = cfg.cluster_spec
     singleton_max = spec.cutoffs(1)[1]
+
+    def work(tree_height: int):
+        # the singletons read the CSR; each candidate set of m >= 2 checks its m members
+        n = cfg.b**tree_height
+        members = sum(m * _candidate_count(cfg, n, m) for m in sizes if m >= 2)
+        return members, f"trend at H={tree_height}"
 
     def measure(g: Graph, trial: int, seed: int, started: float) -> list[tuple[int, int]]:
         tally = []
@@ -610,61 +562,37 @@ def trend_sparse_below_mstar(cfg: ExperimentConfig) -> list[TrendPoint]:
             tally.append((found, len(candidates)))
         return tally
 
-    points = []
-    for tree_height, tallies in zip(cfg.tree_heights, _run_trials(cfg, measure)):
+    rows = []
+    for tree_height, tallies in zip(cfg.tree_heights, _run_trials(cfg, work, measure)):
         n = cfg.b**tree_height
         for m, outcomes in zip(sizes, zip(*tallies)):
             total_found = sum(o[0] for o in outcomes)
             total_checked = sum(o[1] for o in outcomes)
-            exist_hits = sum(o[0] > 0 for o in outcomes)
-            exist_freq = exist_hits / cfg.trials
+            exist_freq = sum(o[0] > 0 for o in outcomes) / cfg.trials
             cand_freq = total_found / total_checked
             k = spec.cutoffs(m)[1] + 1
             per_set = 1.0 if k > m else math.exp(-(n - m) * cfg.c ** (-k * tree_height))
-            points.append(
-                TrendPoint(
-                    tree_height=tree_height,
-                    n=n,
-                    size=m,
-                    trials=cfg.trials,
-                    exist_freq=exist_freq,
-                    exist_se=math.sqrt(exist_freq * (1 - exist_freq) / cfg.trials),
-                    candidate_freq=cand_freq,
-                    candidate_se=math.sqrt(cand_freq * (1 - cand_freq) / total_checked),
-                    per_set_bound=per_set,
-                    union_bound=math.comb(n, m) * per_set,
-                    exhaustive=n <= 20,
-                    candidates_per_trial=total_checked // cfg.trials,
-                )
-            )
-    return points
-
-
-def trend_csv(cfg: ExperimentConfig, points: Iterable[TrendPoint]) -> str:
-    rows = (
-        (pt.tree_height, pt.n, pt.size, pt.trials, pt.exist_freq, pt.exist_se,
-         pt.candidate_freq, pt.candidate_se, pt.per_set_bound, pt.union_bound,
-         int(pt.exhaustive), pt.candidates_per_trial)
-        for pt in points
-    )
-    header = (
-        "H,n,m,trials,exist_freq,exist_se,candidate_freq,candidate_se,"
-        "per_set_bound,union_bound,exhaustive,candidates_per_trial"
-    )
-    return _csv(cfg, header, rows)
+            rows.append(TrendRow(
+                tree_height, n, m, cfg.trials,
+                exist_freq, math.sqrt(exist_freq * (1 - exist_freq) / cfg.trials),
+                cand_freq, math.sqrt(cand_freq * (1 - cand_freq) / total_checked),
+                per_set, math.comb(n, m) * per_set,
+                int(n <= 20), total_checked // cfg.trials,
+            ))
+    return rows
 
 
 # --- internal-edge statistics ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class XsStats:
-    """Empirical internal-edge statistics of complete height-h sets next
-    to the analytic expectation."""
+class XsRow(NamedTuple):
+    """Empirical internal-edge statistics of the complete height-h sets of
+    every trial at one tree height, next to the analytic expectation, as a
+    row of the xs CSV."""
 
-    tree_height: int
+    H: int
     n: int
-    height: int
+    h: int
     trials: int
     observations: int
     emp_mean: float
@@ -672,43 +600,26 @@ class XsStats:
     analytic_mean: float
 
 
-def xs_statistics(cfg: ExperimentConfig) -> list[XsStats]:
+def xs_statistics(cfg: ExperimentConfig) -> list[XsRow]:
     """Internal edge counts over all complete height-`set_height` sets of
     every trial, per tree height."""
     h = cfg.set_height
     if h is None:
         raise ValueError("xs experiments need set_height in the config")
-    _check_sweep_budget(cfg, "xs", lambda tree_height: (h,))
+
+    def work(tree_height: int):
+        return cfg.b**tree_height, f"xs at H={tree_height}, height={h}"
 
     def measure(g: Graph, trial: int, seed: int, started: float) -> list[int]:
         return complete_set_scan(g, cfg.cluster_spec, h, g.params.H).internal.tolist()
 
-    results = []
-    for tree_height, per_trial in zip(cfg.tree_heights, _run_trials(cfg, measure)):
+    rows = []
+    for tree_height, per_trial in zip(cfg.tree_heights, _run_trials(cfg, work, measure)):
         params = cfg.params_for(tree_height)
         xs = [x for counts in per_trial for x in counts]
         count = len(xs)
         mean = sum(xs) / count
         var = sum(x * x for x in xs) / count - mean * mean
-        results.append(
-            XsStats(
-                tree_height=tree_height,
-                n=params.n,
-                height=h,
-                trials=cfg.trials,
-                observations=count,
-                emp_mean=mean,
-                emp_var=var,
-                analytic_mean=expected_internal_edges(h, params) if h >= 1 else 0.0,
-            )
-        )
-    return results
-
-
-def xs_csv(cfg: ExperimentConfig, stats: Iterable[XsStats]) -> str:
-    rows = (
-        (st.tree_height, st.n, st.height, st.trials, st.observations,
-         st.emp_mean, st.emp_var, st.analytic_mean)
-        for st in stats
-    )
-    return _csv(cfg, "H,n,h,trials,observations,emp_mean,emp_var,analytic_mean", rows)
+        analytic = expected_internal_edges(h, params) if h >= 1 else 0.0
+        rows.append(XsRow(tree_height, params.n, h, cfg.trials, count, mean, var, analytic))
+    return rows

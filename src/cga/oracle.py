@@ -45,9 +45,6 @@ class ClusterList:
     def __len__(self) -> int:
         return len(self.clusters)
 
-    def member_tuples(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(c.members for c in self.clusters)
-
 
 def subset_search_cost(n: int, max_size: int) -> int:
     """Elementary-check estimate for the exhaustive subset search:

@@ -49,7 +49,7 @@ def test_c01_oracle_equivalence():
     for seed in range(1000, 1020):
         g = sample_graph(p, seed)
         result = enumerate_clusters(g, HALF, 5)
-        listed = set(result.member_tuples())
+        listed = {M.members for M in result.clusters}
         reverified = set()
         for k in range(1, 6):
             for combo in combinations(range(16), k):
@@ -62,7 +62,7 @@ def test_c01_oracle_equivalence():
         }
         scan = set()
         for h in (0, 1, 2):  # complete sets of size 1, 2, 4 (8 exceeds the cap)
-            scan |= set(enumerate_complete_clusters(g, HALF, h).member_tuples())
+            scan |= {M.members for M in enumerate_complete_clusters(g, HALF, h).clusters}
         if complete_entries != scan:
             mismatches += 1
     report(1, "oracle equivalence", mismatches == 0, f"mismatches={mismatches} over 20 graphs")
@@ -186,7 +186,7 @@ def test_c06_threshold_trend():
         trials=500, seed=6000, heights=(), candidates=200,
     )
     points = trend_sparse_below_mstar(cfg)
-    assert [pt.size for pt in points] == [1] * len(points)
+    assert [pt.m for pt in points] == [1] * len(points)
     freqs = [pt.exist_freq for pt in points]
     non_increasing = all(a >= b for a, b in zip(freqs, freqs[1:]))
     below_bound = True
@@ -194,7 +194,7 @@ def test_c06_threshold_trend():
     for pt in points:
         ceiling = pt.n * pt.per_set_bound + 4 * pt.exist_se
         detail_rows.append(
-            f"H={pt.tree_height}: freq={pt.exist_freq:.4f} bound={ceiling:.3e}"
+            f"H={pt.H}: freq={pt.exist_freq:.4f} bound={ceiling:.3e}"
         )
         if pt.exist_freq > ceiling:
             below_bound = False

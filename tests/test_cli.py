@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import os
 import subprocess
@@ -22,7 +23,14 @@ from cga.cli import (
     main,
 )
 from cga.clusters import ClusterSpec
-from cga.experiments import SWEEP_HEADER, ExperimentConfig, parse_config_text
+from cga.experiments import (
+    EventRow,
+    ExperimentConfig,
+    SweepRow,
+    TrendRow,
+    XsRow,
+    parse_config_text,
+)
 from cga.generator import read_edge_list, sample_graph
 from cga.oracle import enumerate_clusters
 from cga.tree import TreeParams
@@ -373,6 +381,8 @@ BAD_CONFIGS = {
 }
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+ROW_TYPES = {"sweep": SweepRow, "events": EventRow, "trend": TrendRow, "xs": XsRow}
 
 
 class TestExperimentCommand:
@@ -387,7 +397,7 @@ class TestExperimentCommand:
         config_lines = [l for l in lines if l.startswith("#")]
         assert any(l.startswith("# b=2") for l in config_lines)
         header = [l for l in lines if not l.startswith("#")][0]
-        assert header == SWEEP_HEADER
+        assert header == ",".join(SweepRow._fields)
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
@@ -450,14 +460,26 @@ class TestExperimentCommand:
     ])
     def test_bad_heights_exit_2_before_the_sweep_starts(self, tmp_path, capsys,
                                                         monkeypatch, text, named):
-        def started(cfg):
+        def started(*args):
             raise AssertionError("the sweep started")
 
-        monkeypatch.setattr(experiments, "_check_sweep_budget", started)
+        monkeypatch.setattr(experiments, "_run_trials", started)
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(f"b = 2\nc = 2\ntrials = 1\n{text}\n")
         assert run(["experiment", "sweep", "--config", str(cfg_path)]) == EXIT_USAGE
         assert named in capsys.readouterr().err
+
+    def test_unresolvable_splitting_height_exits_2_before_sampling(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # no h_star, and the threshold height of n = 2 leaves is undefined
+        sampled = []
+        monkeypatch.setattr(experiments, "sample_graph", lambda *args, **kw: sampled.append(args))
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("b=2\nc=2\nh_from=1\nh_to=1\ntrials=2\nheights=0,1\n")
+        assert run(["experiment", "sweep", "--config", str(cfg_path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "threshold heights require n >= 3" in captured.err and captured.out == ""
+        assert sampled == []
 
     @pytest.mark.parametrize("line,named", [
         ("epsilon = inf", "epsilon must be finite and >= 0, got inf"),
@@ -558,6 +580,24 @@ class TestExperimentCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("kind,config,digest", GOLDEN_RUNS, ids=GOLDEN_IDS)
+    def test_header_is_the_row_type_fields(self, tmp_path, capsys, kind, config, digest):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(config)
+        assert run(["experiment", kind, "--config", str(cfg_path)]) == EXIT_OK
+        header, *rows = [line for line in capsys.readouterr().out.splitlines()
+                         if not line.startswith("#")]
+        columns = ROW_TYPES[kind]._fields
+        assert header == ",".join(columns)
+        assert rows and all(len(row.split(",")) == len(columns) for row in rows)
+
+    def test_benchmark_sweep_header_is_the_row_type_fields(self):
+        # the benchmark recounts sweep rows by its own copy of the header
+        tree = ast.parse((BENCH_DIR / "cgabench" / "workloads.py").read_text())
+        copy = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "SWEEP_HEADER" for t in node.targets))
+        assert ast.literal_eval(copy) == ",".join(SweepRow._fields)
+
+    @pytest.mark.parametrize("kind,config,digest", GOLDEN_RUNS, ids=GOLDEN_IDS)
     def test_a_run_on_its_own_echo_prints_the_same_bytes(self, tmp_path, capsys, kind,
                                                           config, digest):
         cfg_path = tmp_path / "exp.cfg"
@@ -646,7 +686,8 @@ class TestImportHygiene:
             "from cga.experiments import ExperimentConfig, run_threshold_sweep\n"
             "from cga.generator import sample_graph\nfrom cga.tree import TreeParams\n"
             "cfg = ExperimentConfig(b=2, c=2, h_from=4, h_to=5, trials=3, heights=(1, 2))\n"
-            "assert len(run_threshold_sweep(cfg)) == 6\n"
+            # one row per trial and scanned height, on each of the two tree heights
+            "assert len(run_threshold_sweep(cfg)) == 2 * 3 * 2\n"
             # two chunks of blocks at height class 1
             "assert sample_graph(TreeParams(2, 15, 2.0), 1).edge_count > 0\n"
             "assert threading.active_count() == 1")

@@ -77,7 +77,7 @@ class TestWitnessEdgeCounts:
         g = graph(P22, [(0, 1), (0, 2)])
         assert report([1, 2], g).witnesses == (Witness("D", 1, 0), Witness("E1", 0, 2))
         g2 = graph(P22, [(0, 1)])
-        assert report([0, 1], g2, ClusterSpec("0.5", "1")).witness == Witness("D", 0, 1)
+        assert report([0, 1], g2, ClusterSpec("0.5", "1")).witnesses[0] == Witness("D", 0, 1)
         empty = graph(P22, [])
         assert report([0, 1], empty).witnesses == (Witness("D", 0, 0),)
 
@@ -85,7 +85,7 @@ class TestWitnessEdgeCounts:
         g = graph(P22, [(0, 1)], directed=True)
         assert report([1], g).witnesses == (Witness("D", 1, 0), Witness("E2", 0, 1))
         assert report([0], g).witnesses == (Witness("D", 0, 0),)  # 1 sends no arc into {0}
-        assert report([0, 1], g).witness == Witness("D", 1, 0)
+        assert report([0, 1], g).witnesses[0] == Witness("D", 1, 0)
 
 
 class TestInternallyDense:

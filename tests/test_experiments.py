@@ -11,16 +11,17 @@ from cga.clusters import event_report
 from cga.experiments import (
     DEFAULT_MEASURES,
     EVENT_KEYS,
-    SWEEP_HEADER,
     ExperimentConfig,
+    SweepRow,
+    TrendRow,
+    XsRow,
     estimate_event_probs,
     events_csv,
     place_set,
+    rows_csv,
     run_threshold_sweep,
     sweep_csv,
-    trend_csv,
     trend_sparse_below_mstar,
-    xs_csv,
     xs_statistics,
 )
 from cga.generator import sample_graph
@@ -39,6 +40,11 @@ def cfg(**kw):
     base = dict(b=2, c=2.0, h_from=4, h_to=4, trials=3, seed=9, heights=(0, 1, 2))
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def by_event(rows, tree_height):
+    """The events rows of one tree height, by event key."""
+    return {row.event: row for row in rows if row.H == tree_height}
 
 
 class TestConfig:
@@ -139,28 +145,27 @@ class TestSweep:
         assert run_threshold_sweep(c) == run_threshold_sweep(c)
 
     def test_singletons_never_cluster(self):
-        for rep in run_threshold_sweep(cfg(trials=5)):
-            h0 = rep.per_height[0]
-            assert h0.height == 0
-            assert h0.complete_clusters == 0
+        # each trial's rows follow the scanned heights (0, 1, 2)
+        for row in run_threshold_sweep(cfg(trials=5))[::3]:
+            assert row.h == 0
+            assert row.complete_clusters == 0
 
     def test_tally_consistency(self):
-        for rep in run_threshold_sweep(cfg(trials=6)):
-            blocks = {hs.height: rep.n // 2**hs.height for hs in rep.per_height}
-            for hs in rep.per_height:
-                assert hs.complete_clusters <= blocks[hs.height]
-                assert hs.cliques <= blocks[hs.height]
-                joint_rate = hs.complete_clusters / blocks[hs.height]
-                assert joint_rate <= min(hs.d_rate, hs.e1_rate, hs.e2_rate, hs.e3_rate)
-                assert hs.e1_rate == 1.0  # complete sets satisfy E1 vacuously
+        for row in run_threshold_sweep(cfg(trials=6)):
+            blocks = row.n // 2**row.h
+            assert row.complete_clusters <= blocks
+            assert row.cliques <= blocks
+            joint_rate = row.complete_clusters / blocks
+            assert joint_rate <= min(row.d_rate, row.e1_rate, row.e2_rate, row.e3_rate)
+            assert row.e1_rate == 1.0  # complete sets satisfy E1 vacuously
 
     def test_clique_count_calibration(self):
         # 256 disjoint height-2 sets, each a clique w.p. 1/1024
         c = cfg(h_from=10, h_to=10, trials=100, heights=(2,), seed=31)
-        reports = run_threshold_sweep(c)
-        mean = sum(r.per_height[0].cliques for r in reports) / len(reports)
+        rows = run_threshold_sweep(c)
+        mean = sum(r.cliques for r in rows) / len(rows)
         per_trial_sigma = math.sqrt(256 * (1 / 1024) * (1 - 1 / 1024))
-        assert abs(mean - 256 / 1024) < 4 * per_trial_sigma / math.sqrt(len(reports))
+        assert abs(mean - 256 / 1024) < 4 * per_trial_sigma / math.sqrt(len(rows))
 
     def test_budget_refusal_names_offender(self):
         c = cfg(work_budget=10)
@@ -178,7 +183,7 @@ class TestSweepCsv:
         assert any(l.startswith("# b=2") for l in comments)
         assert any(l.startswith("# seed=9") for l in comments)
         header = [l for l in lines if not l.startswith("#")][0]
-        assert header == SWEEP_HEADER
+        assert header == ",".join(SweepRow._fields)
 
     def test_row_count_and_missing_fields(self):
         c = cfg(trials=2, measures=frozenset({"cliques"}))
@@ -187,7 +192,7 @@ class TestSweepCsv:
         assert len(rows) == 2 * 3  # trials x heights
         for row in rows:
             cells = row.split(",")
-            assert len(cells) == len(SWEEP_HEADER.split(","))
+            assert len(cells) == len(SweepRow._fields)
             assert cells[10] != ""  # cliques measured
             assert cells[11] == ""  # dense_complete missing, not zero
             assert cells[19] == ""  # wall_ms off by default
@@ -196,14 +201,14 @@ class TestSweepCsv:
 class TestEventProbs:
     def test_complete_set_alpha_one_e1_is_one(self):
         c = cfg(alpha=Fraction(1), trials=4, heights=(1,), set_height=1, set_size=2)
-        est = estimate_event_probs(c)[0]
-        assert est.freq["E1"] == 1.0
+        rows = by_event(estimate_event_probs(c), 4)
+        assert rows["E1"].frequency == 1.0
 
     def test_h_star_full_height_e3_is_one(self):
         c = cfg(h_star=4, trials=4, set_height=1, set_size=2)
-        est = estimate_event_probs(c)[0]
-        assert est.h_star_used == 4
-        assert est.freq["E3"] == 1.0
+        rows = by_event(estimate_event_probs(c), 4)
+        assert rows["E3"].h_star == 4
+        assert rows["E3"].frequency == 1.0
 
     def test_e2_frequency_stable_across_tree_heights(self):
         # with the splitting height pinned, the E2 region around a complete
@@ -214,20 +219,21 @@ class TestEventProbs:
             b=2, c=2.0, h_from=6, h_to=8, alpha="0.5", beta="0.5",
             trials=400, seed=77, heights=(1,), h_star=3, set_height=1, set_size=2,
         )
-        ests = estimate_event_probs(c)
-        for est in ests:
-            assert abs(est.freq["E2"] - analytic) < 4 * max(est.se["E2"], 1e-6)
-        freqs = [est.freq["E2"] for est in ests]
-        ses = [est.se["E2"] for est in ests]
+        rows = estimate_event_probs(c)
+        e2 = [by_event(rows, H)["E2"] for H in c.tree_heights]
+        for row in e2:
+            assert abs(row.frequency - analytic) < 4 * max(row.se, 1e-6)
+        freqs = [row.frequency for row in e2]
+        ses = [row.se for row in e2]
         for i in range(len(freqs) - 1):
             gap = abs(freqs[i] - freqs[i + 1])
             assert gap < 3 * math.sqrt(ses[i] ** 2 + ses[i + 1] ** 2) + 1e-9
 
     def test_joint_tally_no_larger_than_components(self):
         c = cfg(trials=5, set_height=1, set_size=2)
-        est = estimate_event_probs(c)[0]
-        assert est.counts["all"] <= min(
-            est.counts["D"], est.counts["E1"], est.counts["E2"], est.counts["E3"]
+        counts = {key: row.count for key, row in by_event(estimate_event_probs(c), 4).items()}
+        assert counts["all"] <= min(
+            counts["D"], counts["E1"], counts["E2"], counts["E3"]
         )
 
     def test_impossible_placement_rejected(self):
@@ -254,18 +260,23 @@ class TestEventProbs:
     def test_counts_match_a_per_probe_event_report_loop(self, config, template):
         c = cfg(**{"h_star": 2, "trials": 4, "heights": (), **config, **template})
         spec = c.cluster_spec
-        for est in estimate_event_probs(c):
-            params = c.params_for(est.tree_height)
+        rows = estimate_event_probs(c)
+        for tree_height in c.tree_heights:
+            got = by_event(rows, tree_height)
+            h_star = got["all"].h_star
+            params = c.params_for(tree_height)
             counts = dict.fromkeys(EVENT_KEYS, 0)
             for trial in range(c.trials):
-                g = sample_graph(params, c.trial_seed(est.tree_height, trial), directed=c.directed)
-                for root in range(0, params.n, params.b**est.h_star_used):
-                    rep = event_report(place_set(c, root, params), g, spec, est.h_star_used)
+                g = sample_graph(params, c.trial_seed(tree_height, trial), directed=c.directed)
+                for root in range(0, params.n, params.b**h_star):
+                    rep = event_report(place_set(c, root, params), g, spec, h_star)
                     for key, held in zip(EVENT_KEYS, (rep.dense, rep.e1, rep.e2, rep.e3,
                                                       rep.is_cluster)):
                         counts[key] += held
-            assert est.counts == counts
-            assert est.observations == c.trials * params.n // params.b**est.h_star_used
+            assert {key: row.count for key, row in got.items()} == counts
+            for row in got.values():
+                assert row.h_star == h_star
+                assert row.observations == c.trials * params.n // params.b**h_star
 
     def test_budget_refusal_names_offender(self, monkeypatch):
         monkeypatch.setattr(experiments, "sample_graph", None)  # refused before sampling
@@ -306,7 +317,7 @@ class TestTrend:
         pts = trend_sparse_below_mstar(c)
         assert len(pts) == 1
         pt = pts[0]
-        assert pt.size == 1
+        assert pt.m == 1
         assert pt.exhaustive
         assert pt.candidates_per_trial == 16
         # b=2, H=4, c=2, alpha=1/2, m=1: a vertex needs k = floor(1/2) + 1 = 1
@@ -324,14 +335,14 @@ class TestTrend:
                                           (3, 2.0, "0.5", 2, 2)):
             run = ExperimentConfig(b=b, c=c, h_from=h_from, h_to=h_to, alpha=alpha,
                                    trials=1, seed=3, heights=(), directed=directed)
-            sizes = [pt.size for pt in trend_sparse_below_mstar(run)]
+            sizes = [pt.m for pt in trend_sparse_below_mstar(run)]
             assert m_star(alpha, b, c) > 3 and {2, 3} <= set(sizes)
             for pt in trend_sparse_below_mstar(run):
-                if pt.size < 2:
+                if pt.m < 2:
                     continue
-                seed = run.trial_seed(pt.tree_height, 0)
-                g = sample_graph(run.params_for(pt.tree_height), seed, directed=directed)
-                sets = list(combinations(range(pt.n), pt.size))
+                seed = run.trial_seed(pt.H, 0)
+                g = sample_graph(run.params_for(pt.H), seed, directed=directed)
+                sets = list(combinations(range(pt.n), pt.m))
                 accepted = sum(naive_is_externally_sparse(M, g, run.alpha) for M in sets)
                 assert pt.exhaustive and pt.candidates_per_trial == len(sets)
                 assert round(pt.candidate_freq * pt.candidates_per_trial) == accepted
@@ -360,10 +371,10 @@ class TestTrend:
                         trials=1, seed=5, heights=(), directed=directed, candidates=0,
                     )
                     for pt in trend_sparse_below_mstar(c_run):
-                        if pt.size != 1:
+                        if pt.m != 1:
                             continue
-                        p_iso = isolated_vertex_probability(b, pt.tree_height, Fraction(c))
-                        assert pt.per_set_bound >= p_iso, (b, c, alpha, directed, pt.tree_height)
+                        p_iso = isolated_vertex_probability(b, pt.H, Fraction(c))
+                        assert pt.per_set_bound >= p_iso, (b, c, alpha, directed, pt.H)
                         checked += 1
         assert checked >= 100
 
@@ -377,7 +388,7 @@ class TestTrend:
         )
         for pt in trend_sparse_below_mstar(c):
             assert pt.candidates_per_trial == pt.n
-            mean, var = isolated_count_moments(2, pt.tree_height, 2)
+            mean, var = isolated_count_moments(2, pt.H, 2)
             measured = pt.candidate_freq * pt.n
             assert abs(measured - float(mean)) < 4 * math.sqrt(float(var) / pt.trials), pt
 
@@ -392,7 +403,7 @@ class TestTrend:
 
     def test_csv_layout(self):
         c = cfg(trials=3, heights=())
-        text = trend_csv(c, trend_sparse_below_mstar(c))
+        text = rows_csv(c, TrendRow, trend_sparse_below_mstar(c))
         lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert lines[0].startswith("H,n,m,trials,exist_freq")
         assert len(lines) == 2
@@ -468,6 +479,6 @@ class TestXsStatistics:
 
     def test_csv_layout(self):
         c = cfg(trials=2, heights=(), set_height=1)
-        text = xs_csv(c, xs_statistics(c))
+        text = rows_csv(c, XsRow, xs_statistics(c))
         lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert lines[0] == "H,n,h,trials,observations,emp_mean,emp_var,analytic_mean"

@@ -26,19 +26,19 @@ class TestEnumerateClusters:
     def test_single_edge_graph(self):
         g = Graph.from_edges(P22, [(0, 1)])
         result = enumerate_clusters(g, HALF, 2)
-        assert (0, 1) in result.member_tuples()
+        assert (0, 1) in [M.members for M in result.clusters]
 
     def test_complete_graph_only_full_set(self):
         g = Graph.from_edges(P22, list(combinations(range(4), 2)))
         result = enumerate_clusters(g, HALF, 4)
-        assert result.member_tuples() == ((0, 1, 2, 3),)
+        assert [M.members for M in result.clusters] == [(0, 1, 2, 3)]
         assert result.complete == (True,)
 
     def test_matches_independent_definition_oracle(self):
         p = TreeParams(2, 3, 2.0)
         for seed in range(5):
             g = sample_graph(p, seed)
-            got = set(enumerate_clusters(g, HALF, 4).member_tuples())
+            got = {M.members for M in enumerate_clusters(g, HALF, 4).clusters}
             expect = set()
             for k in range(1, 5):
                 for combo in combinations(range(8), k):
@@ -49,7 +49,7 @@ class TestEnumerateClusters:
     def test_lexicographic_order_and_reverification(self):
         g = sample_graph(TreeParams(2, 4, 2.0), 3)
         result = enumerate_clusters(g, HALF, 4)
-        tuples = result.member_tuples()
+        tuples = [M.members for M in result.clusters]
         assert list(tuples) == sorted(tuples)
         for M in result.clusters:
             assert is_cluster(M, g, HALF)
@@ -82,7 +82,7 @@ class TestEnumerateCompleteClusters:
     def test_two_sibling_clusters(self):
         g = Graph.from_edges(P22, [(0, 1), (2, 3)])
         result = enumerate_complete_clusters(g, HALF, 1)
-        assert result.member_tuples() == ((0, 1), (2, 3))
+        assert [M.members for M in result.clusters] == [(0, 1), (2, 3)]
         assert result.complete == (True, True)
 
     def test_rejects_height_out_of_range(self):
@@ -100,7 +100,7 @@ class TestEnumerateCompleteClusters:
             subset = enumerate_clusters(g, HALF, 4)
             by_scan = set()
             for h in (0, 1, 2):
-                by_scan |= set(enumerate_complete_clusters(g, HALF, h).member_tuples())
+                by_scan |= {M.members for M in enumerate_complete_clusters(g, HALF, h).clusters}
             complete_entries = {
                 M.members
                 for M, flag in zip(subset.clusters, subset.complete)
