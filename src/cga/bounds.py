@@ -1,15 +1,14 @@
-"""Closed-form threshold constants, count bounds, and tail inequalities.
+"""Closed-form threshold constants and count bounds of the model.
 
-Everything here is a pure function of the model parameters.  Products of
-many small probabilities are evaluated in log space; the exact binomial
-tail used as the oracle for the tail inequalities is summed in exact
-rational arithmetic.
+Everything here is a pure function of the model parameters: the
+threshold's epsilon and heights, m_star and gamma, clique and cluster
+counts, and expected internal edges.  Products of many small
+probabilities are evaluated in log space.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .clusters import unit_fraction
@@ -28,11 +27,6 @@ class ThresholdHeights(NamedTuple):
     h_star: float
     h_epsilon: float
     tall_height: float
-
-
-class JansonBounds(NamedTuple):
-    upper: float
-    lower: float
 
 
 def _check_alpha(alpha) -> float:
@@ -71,15 +65,25 @@ def gamma_constant(alpha, b: int, c: float) -> float:
     return (alpha * math.log(c) / (4 * math.log(b))) * (bh - ms) / bh
 
 
+def resolve_epsilon(epsilon: float | None, b: int, c: float) -> float:
+    """The threshold's epsilon: `epsilon` when given, which must be finite
+    and >= 0, else min(0.1, ln c / (8 ln b))."""
+    if epsilon is None:
+        b, c = _check_bc(b, c)
+        return min(0.1, math.log(c) / (8 * math.log(b)))
+    if not 0 <= epsilon < math.inf:  # refuses NaN too
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    return float(epsilon)
+
+
 def threshold_heights(params: TreeParams, epsilon: float) -> ThresholdHeights:
     """The three real-valued heights that bracket the threshold:
     (1/2 - eps) ln ln n / ln b, (1/2 + eps) ln ln n / ln b, and
     sqrt(ln n) / ln b.  Complete sets at the first two heights hold
-    (ln n)**(1/2 -+ eps) vertices."""
+    (ln n)**(1/2 -+ eps) vertices; `resolve_epsilon` checks eps."""
     if params.n < 3:
         raise ValueError("threshold heights require n >= 3")
-    if not 0 <= epsilon < math.inf:  # refuses NaN too
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    epsilon = resolve_epsilon(epsilon, params.b, params.c)
     ln_n = math.log(params.n)
     ln_b = math.log(params.b)
     lnln = math.log(ln_n)
@@ -131,77 +135,6 @@ def cluster_count_guarantee(m, params: TreeParams, alpha, family_size: int) -> f
         raise ValueError(f"guarantee requires m > m_star = {ms}, got m = {m}")
     exponent = (alpha * math.log(params.c) / (4 * math.log(params.b))) * (m - ms)
     return min(float(family_size), math.log(params.n) ** exponent)
-
-
-def binom_tail_bound(n: int, prob: float, t: float) -> float:
-    """Upper bound on Pr(Bin(n, p) >= t*p*n) for t > 1:
-    (t/(t-1)) * C(n, s) * p**s * (1-p)**(n-s) with s = ceil(t*p*n).
-    Requires 1 <= s <= n - 1; log-space evaluation."""
-    if t <= 1:
-        raise ValueError(f"t must exceed 1, got {t!r}")
-    if not 0 < prob < 1:
-        raise ValueError(f"probability must lie in (0, 1), got {prob!r}")
-    s = math.ceil(t * prob * n)
-    if not 1 <= s <= n - 1:
-        raise ValueError(f"ceil(t*p*n) = {s} outside [1, {n - 1}]")
-    log = (
-        math.log(t / (t - 1))
-        + math.lgamma(n + 1)
-        - math.lgamma(s + 1)
-        - math.lgamma(n - s + 1)
-        + s * math.log(prob)
-        + (n - s) * math.log1p(-prob)
-    )
-    return math.exp(log)
-
-
-def binom_tail_simple(n: int, prob: float, s: float) -> float:
-    """Looser tail bound 2 * exp(s * (ln n + 1 - ln s + ln p)), valid for
-    s >= 2*p*n.  Coincides with 2 * (n*e*p / s)**s by construction."""
-    if not 0 < prob < 1:
-        raise ValueError(f"probability must lie in (0, 1), got {prob!r}")
-    if s < 2 * prob * n:
-        raise ValueError(f"requires s >= 2*p*n = {2 * prob * n}, got s = {s}")
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s!r}")
-    return 2.0 * math.exp(s * (math.log(n) + 1 - math.log(s) + math.log(prob)))
-
-
-def binom_tail_exact(n: int, prob, s: float) -> float:
-    """Pr(Bin(n, p) >= s), summed exactly in rational arithmetic.
-
-    `prob` may be a decimal string (exact decimal), a Fraction, or a float
-    (exact binary value, so the tail is exact for the very p the float
-    bounds above see).  This is the independent oracle the closed-form
-    bounds are tested against.
-    """
-    p = Fraction(prob)
-    if not 0 < p < 1:
-        raise ValueError(f"probability must lie in (0, 1), got {prob!r}")
-    k0 = math.ceil(s)
-    if k0 <= 0:
-        return 1.0
-    if k0 > n:
-        return 0.0
-    q = 1 - p
-    total = Fraction(0)
-    for k in range(k0, n + 1):
-        total += math.comb(n, k) * p**k * q ** (n - k)
-    return float(total)
-
-
-def janson_bounds(mu: float, t: float) -> JansonBounds:
-    """Two-sided concentration bounds for a sum of independent Bernoulli
-    variables with mean mu: Pr(X >= mu + t) <= exp(-t^2 / (2(mu + t/3)))
-    and Pr(X <= mu - t) <= exp(-t^2 / (2 mu))."""
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    return JansonBounds(
-        upper=math.exp(-(t * t) / (2 * (mu + t / 3))),
-        lower=math.exp(-(t * t) / (2 * mu)),
-    )
 
 
 def expected_internal_edges(h: int, params: TreeParams) -> float:

@@ -196,25 +196,12 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-# bounds flags read only together: once a flag of a group is given, each of
-# the group's needs must be met by one of its flags
-_BOUNDS_GROUPS = (
-    ({"tail_n", "tail_p", "tail_t", "tail_s"}, ({"tail_n"}, {"tail_p"}, {"tail_t", "tail_s"})),
-    ({"mu", "t"}, ({"mu"}, {"t"})),
-    ({"m", "family_size"}, ({"height"}, {"m"})),
-)
-
-
-def _flags(dests, sep: str) -> str:
-    return sep.join("--" + dest.replace("_", "-") for dest in sorted(dests))
-
-
 def cmd_bounds(args) -> int:
-    given = {dest for dest, value in vars(args).items() if value is not None}
-    for group, needs in _BOUNDS_GROUPS:
-        for need in needs:
-            if given & group and not given & need:
-                raise ValueError(f"{_flags(given & group, ' ')} needs {_flags(need, ' or ')}")
+    if args.m is not None and args.height is None:
+        raise ValueError("--m needs --height")
+    if args.family_size is not None and args.m is None:
+        raise ValueError("--family-size needs --m")
+    epsilon = bounds_mod.resolve_epsilon(args.epsilon, args.b, args.c)
     alpha = float(as_fraction(args.alpha, "alpha"))
     # every value is computed before anything prints, so a refusal leaves stdout empty
     lines = [
@@ -223,7 +210,7 @@ def cmd_bounds(args) -> int:
     ]
     if args.height is not None:
         params = TreeParams(args.b, args.height, args.c)
-        hs = bounds_mod.threshold_heights(params, args.epsilon)
+        hs = bounds_mod.threshold_heights(params, epsilon)
         lines += [
             f"h_star={repr(hs.h_star)}",
             f"h_epsilon={repr(hs.h_epsilon)}",
@@ -250,24 +237,6 @@ def cmd_bounds(args) -> int:
                 f"cluster_count_guarantee="
                 f"{repr(bounds_mod.cluster_count_guarantee(args.m, params, alpha, family))}"
             )
-    if args.tail_n is not None:
-        if args.tail_t is not None:
-            lines.append(
-                f"binom_tail_bound="
-                f"{repr(bounds_mod.binom_tail_bound(args.tail_n, args.tail_p, args.tail_t))}"
-            )
-        if args.tail_s is not None:
-            lines.append(
-                f"binom_tail_simple="
-                f"{repr(bounds_mod.binom_tail_simple(args.tail_n, args.tail_p, args.tail_s))}"
-            )
-            lines.append(
-                f"binom_tail_exact="
-                f"{repr(bounds_mod.binom_tail_exact(args.tail_n, args.tail_p, args.tail_s))}"
-            )
-    if args.mu is not None and args.t is not None:
-        jb = bounds_mod.janson_bounds(args.mu, args.t)
-        lines += [f"janson_upper={repr(jb.upper)}", f"janson_lower={repr(jb.lower)}"]
     _echo_config(
         sys.stdout,
         [
@@ -275,7 +244,7 @@ def cmd_bounds(args) -> int:
             ("b", args.b),
             ("c", format_real(args.c)),
             ("alpha", args.alpha),
-            ("epsilon", args.epsilon),
+            ("epsilon", epsilon),
             ("height", args.height if args.height is not None else ""),
             ("m", args.m if args.m is not None else ""),
             ("family_size", args.family_size if args.family_size is not None else ""),
@@ -359,16 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--alpha", required=True)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="default min(0.1, ln c / (8 ln b)), as in experiment configs")
     p.add_argument("--height", type=int, default=None, help="tree height H")
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--family-size", type=int, default=None, dest="family_size")
-    p.add_argument("--tail-n", type=int, default=None, dest="tail_n")
-    p.add_argument("--tail-p", type=float, default=None, dest="tail_p")
-    p.add_argument("--tail-t", type=float, default=None, dest="tail_t")
-    p.add_argument("--tail-s", type=float, default=None, dest="tail_s")
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--t", type=float, default=None)
+    p.add_argument("--family-size", type=_at_least(1), default=None, dest="family_size")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("experiment", help="run a Monte Carlo experiment from a config file")

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .bounds import expected_internal_edges, m_star, threshold_heights
+from .bounds import expected_internal_edges, m_star, resolve_epsilon, threshold_heights
 from .clusters import (
     ClusterSpec,
     complete_set_scan,
@@ -136,8 +136,7 @@ class ExperimentConfig:
         check_seed(self.seed)
         if self.placement not in ("spread", "left"):
             raise ValueError(f"unknown placement rule {self.placement!r}")
-        if self.epsilon is not None and not 0 <= self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+        resolve_epsilon(self.epsilon, self.b, self.c)
         for name in ("directed", "allow_large"):
             if getattr(self, name) not in (0, 1):  # False and True compare equal to 0 and 1
                 raise ValueError(f"{name} must be 0 or 1, got {getattr(self, name)!r}")
@@ -192,9 +191,7 @@ class ExperimentConfig:
 
     @property
     def resolved_epsilon(self) -> float:
-        if self.epsilon is not None:
-            return float(self.epsilon)
-        return min(0.1, math.log(self.c) / (8 * math.log(self.b)))
+        return resolve_epsilon(self.epsilon, self.b, self.c)
 
     @property
     def cluster_spec(self) -> ClusterSpec:

@@ -13,13 +13,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cga.bounds import (
-    binom_tail_bound,
-    binom_tail_simple,
-    clique_count_lower_bound,
-    exact_clique_probability,
-    janson_bounds,
-)
+from cga.bounds import clique_count_lower_bound, exact_clique_probability
 from cga.cli import main as cli_main
 from cga.clusters import (
     ClusterSpec,
@@ -32,7 +26,14 @@ from cga.generator import expected_edge_count, sample_graph
 from cga.oracle import enumerate_clusters, enumerate_complete_clusters
 from cga.rng import splitmix64, substream
 from cga.tree import TreeParams, VertexSet, pair_height, pairs_at_height
-from util import all_pair_probs, exact_binom_tail, naive_is_externally_sparse
+from util import (
+    all_pair_probs,
+    binom_tail_bound,
+    binom_tail_simple,
+    exact_binom_tail,
+    janson_bounds,
+    naive_is_externally_sparse,
+)
 
 HALF = ClusterSpec("0.5", "0.5")
 

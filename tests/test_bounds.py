@@ -6,9 +6,6 @@ import numpy as np
 import pytest
 
 from cga.bounds import (
-    binom_tail_bound,
-    binom_tail_exact,
-    binom_tail_simple,
     clique_count_lower_bound,
     cluster_count_guarantee,
     exact_clique_log_probability,
@@ -16,15 +13,21 @@ from cga.bounds import (
     expected_internal_edges,
     gamma_constant,
     h_min,
-    janson_bounds,
     m_star,
+    resolve_epsilon,
     threshold_heights,
 )
 from cga.clusters import ClusterSpec
 from cga.generator import expected_edge_count
 from cga.rng import substream
 from cga.tree import TreeParams
-from util import digit_height, exact_binom_tail
+from util import (
+    binom_tail_bound,
+    binom_tail_simple,
+    digit_height,
+    exact_binom_tail,
+    janson_bounds,
+)
 
 
 class TestMStar:
@@ -87,6 +90,14 @@ class TestThresholdHeights:
         for eps in (-0.5, math.inf, math.nan):
             with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
                 threshold_heights(TreeParams(2, 5, 2.0), eps)
+            with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+                resolve_epsilon(eps, 2, 2.0)
+
+    def test_epsilon_default(self):
+        # min(0.1, ln c / (8 ln b)), and a given epsilon as it is
+        assert resolve_epsilon(None, 2, 2.0) == 0.1
+        assert resolve_epsilon(None, 2, 1.5) == math.log(1.5) / (8 * math.log(2))
+        assert resolve_epsilon(0, 2, 1.5) == 0.0 and resolve_epsilon(0.25, 2, 2.0) == 0.25
 
 
 class TestCliqueCountLowerBound:
@@ -157,7 +168,7 @@ class TestBinomTailBound:
         bound = binom_tail_bound(10, 0.1, 2)
         assert bound == pytest.approx(2 * 45 * 0.01 * 0.9**8, rel=1e-12)
         assert bound == pytest.approx(0.38742, abs=1e-5)
-        exact = binom_tail_exact(10, 0.1, 2)
+        exact = exact_binom_tail(10, 0.1, 2)
         assert exact == pytest.approx(0.2639, abs=1e-4)
         assert exact <= bound
 
@@ -177,7 +188,7 @@ class TestBinomTailBound:
                     s = math.ceil(t * pf * n)
                     if not 1 <= s <= n - 1:
                         continue
-                    exact = binom_tail_exact(n, p, t * pf * n)
+                    exact = exact_binom_tail(n, p, t * pf * n)
                     assert exact <= binom_tail_bound(n, pf, t), (n, p, t)
 
 
@@ -199,20 +210,15 @@ class TestBinomTailSimple:
                 pf = float(Fraction(p))
                 s0 = max(1, math.ceil(2 * pf * n))
                 for s in range(s0, n, max(1, (n - s0) // 5)):
-                    exact = binom_tail_exact(n, p, s)
+                    exact = exact_binom_tail(n, p, s)
                     assert exact <= binom_tail_simple(n, pf, s), (n, p, s)
 
 
 class TestBinomTailExact:
-    def test_matches_rational_oracle(self):
-        for n, p, s in [(10, "0.1", 2), (50, "0.3", 20), (100, "0.01", 3)]:
-            expect = float(exact_binom_tail(n, Fraction(p), s))
-            assert binom_tail_exact(n, p, s) == pytest.approx(expect, rel=1e-15)
-
     def test_edge_thresholds(self):
-        assert binom_tail_exact(10, "0.1", 0) == 1.0
-        assert binom_tail_exact(10, "0.1", 11) == 0.0
-        assert binom_tail_exact(10, "0.5", 10) == pytest.approx(0.5**10)
+        assert exact_binom_tail(10, "0.1", 0) == 1.0
+        assert exact_binom_tail(10, "0.1", 11) == 0.0
+        assert exact_binom_tail(10, "0.5", 10) == pytest.approx(0.5**10)
 
 
 class TestJansonBounds:

@@ -10,10 +10,16 @@ called when some module reads an attribute of that name (`g.edge_count`),
 on any object; dunder methods are exempt.  Assignments and imports do not
 count.  The entry point `cli.main` is exempt, and so are the names in the
 benchmark's `TRACED` table, which the benchmark patches by name.
+
+In the same spirit, every option a `cga` subcommand declares is read as
+`args.<dest>` somewhere in `cli.py`.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from cga.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cga"
@@ -98,3 +104,26 @@ def test_every_public_member_has_a_caller():
         if member not in read_attrs and (module, f"{cls}.{member}") not in exempt
     )
     assert uncalled == [], f"public members that no module of src/cga reads: {uncalled}"
+
+
+def _subcommand_options():
+    """(subcommand, dest) of each option and positional that `cli.build_parser()`
+    declares on a subcommand, help aside."""
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {(name, action.dest) for name, sub in subparsers.choices.items()
+            for action in sub._actions if not isinstance(action, argparse._HelpAction)}
+
+
+def test_every_cli_option_is_read():
+    """An option that `cli.py` never reads as `args.<dest>` changes nothing;
+    the parser declares none."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    options = _subcommand_options()
+    # the guard sees flags, renamed dests and positionals
+    assert {("bounds", "family_size"), ("oracle", "max_size"), ("experiment", "kind")} <= options
+    unread = sorted(f"{name} {dest}" for name, dest in options if dest not in read)
+    assert unread == [], f"options that cli.py never reads as args.<dest>: {unread}"

@@ -251,13 +251,6 @@ class TestBounds:
             assert key in out
 
     @pytest.mark.parametrize("flags,named", [
-        (["--tail-n", "10", "--tail-t", "2"], "--tail-n --tail-t needs --tail-p"),
-        (["--tail-n", "10", "--tail-s", "4"], "needs --tail-p"),
-        (["--tail-t", "2", "--tail-p", "0.1"], "needs --tail-n"),
-        (["--tail-s", "4"], "needs --tail-n"),
-        (["--tail-n", "10", "--tail-p", "0.1"], "needs --tail-s or --tail-t"),
-        (["--mu", "10"], "--mu needs --t"),
-        (["--t", "5"], "--t needs --mu"),
         (["--m", "4"], "--m needs --height"),
         (["--height", "4", "--family-size", "9"], "--family-size needs --m"),
     ])
@@ -269,21 +262,20 @@ class TestBounds:
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.5"])
     def test_bad_epsilon_exits_2(self, capsys, epsilon):
-        code = run(["bounds", "--b", "2", "--c", "2", "--alpha", "0.5",
-                    "--epsilon", epsilon, "--height", "5"])
-        assert code == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == "" and "epsilon must be finite and >= 0" in captured.err
+        for height in ([], ["--height", "5"]):
+            code = run(["bounds", "--b", "2", "--c", "2", "--alpha", "0.5",
+                        "--epsilon", epsilon, *height])
+            assert code == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == "" and "epsilon must be finite and >= 0" in captured.err
 
-    def test_tail_and_janson(self, capsys):
-        code = run(["bounds", "--b", "2", "--c", "2", "--alpha", "0.5",
-                    "--tail-n", "10", "--tail-p", "0.1", "--tail-t", "2",
-                    "--tail-s", "4", "--mu", "10", "--t", "5"])
+    def test_default_epsilon_is_the_experiments(self, capsys):
+        # trend_below.cfg's b and c, whose experiment echo reads this epsilon
+        code = run(["bounds", "--b", "2", "--c", "1.5", "--alpha", "0.9", "--height", "8"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        for key in ("binom_tail_bound=", "binom_tail_simple=", "binom_tail_exact=",
-                    "janson_upper=", "janson_lower="):
-            assert key in out
+        assert "# epsilon=0.07312031259014452\n" in out
+        assert ExperimentConfig(b=2, c=1.5, h_from=8, h_to=8).resolved_epsilon == 0.07312031259014452
 
 
 BOUNDS = ["bounds", "--b", "2", "--c", "2", "--alpha", "0.5"]
@@ -293,13 +285,10 @@ ON_GRAPH = ["--graph", "{graph}", "--alpha", "0.5", "--beta", "0.5"]
 # "{graph}" stands for an H=4 edge list, "{missing}" for a path in a
 # directory that does not exist.
 REFUSALS = {
-    "bounds-tail-p": ([*BOUNDS, "--tail-n", "10", "--tail-p", "1.5", "--tail-t", "2"],
-                      EXIT_USAGE, "probability must lie in (0, 1)"),
-    "bounds-mu": ([*BOUNDS, "--mu", "-1", "--t", "2"], EXIT_USAGE, "mu must be positive"),
-    "bounds-tail-t": ([*BOUNDS, "--tail-n", "10", "--tail-p", "0.1", "--tail-t", "1"],
-                      EXIT_USAGE, "t must exceed 1"),
     "bounds-m-at-m-star": ([*BOUNDS, "--height", "4", "--m", "2"],
                            EXIT_USAGE, "guarantee requires m > m_star"),
+    "bounds-family-size-zero": ([*BOUNDS, "--height", "4", "--m", "4", "--family-size", "0"],
+                                EXIT_USAGE, "--family-size: must be >= 1, got 0"),
     "verify-hstar-above-H": (["verify", *ON_GRAPH, "--set", "0,1", "--hstar", "9"],
                              EXIT_USAGE, "h_star must lie in [1, 4], got 9"),
     "verify-hstar-below-set": (["verify", *ON_GRAPH, "--set", "0,1", "--hstar", "0"],
@@ -315,6 +304,10 @@ REFUSALS = {
     "generate-missing-directory": (["generate", "--b", "2", "--height", "3", "--c", "2",
                                     "--seed", "1", "--out", "{missing}"],
                                    EXIT_IO, "No such file or directory"),
+    # the binomial tail and Janson calculator flags `bounds` no longer has
+    **{f"bounds-removed{flag}": ([*BOUNDS, flag, "1"], EXIT_USAGE,
+                                 f"unrecognized arguments: {flag} 1")
+       for flag in ("--tail-n", "--tail-p", "--tail-t", "--tail-s", "--mu", "--t")},
 }
 
 
@@ -324,7 +317,11 @@ def test_refusal_prints_nothing_to_stdout(tmp_path, capsys, case):
     graph = tmp_path / "g.el"
     graph.write_text("# cga b=2 H=4 c=2 seed=0 directed=0\n0 1\n2 3\n")
     paths = {"{graph}": str(graph), "{missing}": str(tmp_path / "missing" / "g.el")}
-    assert run([paths.get(arg, arg) for arg in argv]) == code
+    try:
+        exit_code = run([paths.get(arg, arg) for arg in argv])
+    except SystemExit as exc:  # argparse refuses a flag or its value itself
+        exit_code = exc.code
+    assert exit_code == code
     captured = capsys.readouterr()
     assert captured.out == "" and named in captured.err
 

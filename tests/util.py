@@ -3,6 +3,9 @@
 Everything here recomputes model quantities from first principles (digit
 strings, ancestor walks, explicit pair enumeration, exact rational
 arithmetic) so the tests never trust the code path they are checking.
+It also holds the binomial tail and Janson bounds the model's proofs
+lean on: the library computes none of them, and the tests check each
+one against `exact_binom_tail` or a Monte Carlo sum.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,14 +141,77 @@ def block_pair(rank: int, b: int, j: int, directed: bool) -> tuple[int, int]:
     raise ValueError("rank beyond the block's pairs")
 
 
-def exact_binom_tail(n: int, p: Fraction, k0: int) -> Fraction:
-    """Pr(Bin(n, p) >= k0) in exact rational arithmetic."""
+def exact_binom_tail(n: int, prob, s: float) -> float:
+    """Pr(Bin(n, p) >= s), summed exactly in rational arithmetic.
+
+    `prob` may be a decimal string (exact decimal), a Fraction, or a float
+    (exact binary value, so the tail is exact for the very p the float
+    bounds below see), and `s` any real threshold.  This is the oracle
+    the tail bounds are tested against.
+    """
+    p = Fraction(prob)
+    if not 0 < p < 1:
+        raise ValueError(f"probability must lie in (0, 1), got {prob!r}")
+    k0 = math.ceil(s)
     if k0 <= 0:
-        return Fraction(1)
+        return 1.0
     q = 1 - p
-    return sum(
+    return float(sum(
         (math.comb(n, k) * p**k * q ** (n - k) for k in range(k0, n + 1)),
         Fraction(0),
+    ))
+
+
+class JansonBounds(NamedTuple):
+    upper: float
+    lower: float
+
+
+def binom_tail_bound(n: int, prob: float, t: float) -> float:
+    """Upper bound on Pr(Bin(n, p) >= t*p*n) for t > 1:
+    (t/(t-1)) * C(n, s) * p**s * (1-p)**(n-s) with s = ceil(t*p*n).
+    Requires 1 <= s <= n - 1; log-space evaluation."""
+    if t <= 1:
+        raise ValueError(f"t must exceed 1, got {t!r}")
+    if not 0 < prob < 1:
+        raise ValueError(f"probability must lie in (0, 1), got {prob!r}")
+    s = math.ceil(t * prob * n)
+    if not 1 <= s <= n - 1:
+        raise ValueError(f"ceil(t*p*n) = {s} outside [1, {n - 1}]")
+    log = (
+        math.log(t / (t - 1))
+        + math.lgamma(n + 1)
+        - math.lgamma(s + 1)
+        - math.lgamma(n - s + 1)
+        + s * math.log(prob)
+        + (n - s) * math.log1p(-prob)
+    )
+    return math.exp(log)
+
+
+def binom_tail_simple(n: int, prob: float, s: float) -> float:
+    """Looser tail bound 2 * exp(s * (ln n + 1 - ln s + ln p)), valid for
+    s >= 2*p*n.  Coincides with 2 * (n*e*p / s)**s by construction."""
+    if not 0 < prob < 1:
+        raise ValueError(f"probability must lie in (0, 1), got {prob!r}")
+    if s < 2 * prob * n:
+        raise ValueError(f"requires s >= 2*p*n = {2 * prob * n}, got s = {s}")
+    if s <= 0:
+        raise ValueError(f"s must be positive, got {s!r}")
+    return 2.0 * math.exp(s * (math.log(n) + 1 - math.log(s) + math.log(prob)))
+
+
+def janson_bounds(mu: float, t: float) -> JansonBounds:
+    """Two-sided concentration bounds for a sum of independent Bernoulli
+    variables with mean mu: Pr(X >= mu + t) <= exp(-t^2 / (2(mu + t/3)))
+    and Pr(X <= mu - t) <= exp(-t^2 / (2 mu))."""
+    if mu <= 0:
+        raise ValueError(f"mu must be positive, got {mu!r}")
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t!r}")
+    return JansonBounds(
+        upper=math.exp(-(t * t) / (2 * (mu + t / 3))),
+        lower=math.exp(-(t * t) / (2 * mu)),
     )
 
 
