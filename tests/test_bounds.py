@@ -99,6 +99,17 @@ class TestThresholdHeights:
         assert resolve_epsilon(None, 2, 1.5) == math.log(1.5) / (8 * math.log(2))
         assert resolve_epsilon(0, 2, 1.5) == 0.0 and resolve_epsilon(0.25, 2, 2.0) == 0.25
 
+    def test_none_takes_the_default(self):
+        # threshold_heights resolves a missing epsilon the way the CLI and
+        # the experiments do, and the default checks b and c itself
+        for b, H, c in [(2, 16, 2.0), (2, 8, 1.5), (3, 6, 1.2)]:
+            p = TreeParams(b, H, c)
+            assert threshold_heights(p, None) == threshold_heights(p, resolve_epsilon(None, b, c))
+        with pytest.raises(ValueError, match="branching factor b must be an integer >= 2"):
+            resolve_epsilon(None, 1, 2.0)
+        with pytest.raises(ValueError, match="shrink factor c must be a finite real > 1"):
+            resolve_epsilon(None, 2, 1.0)
+
 
 class TestCliqueCountLowerBound:
     def test_examples(self):
@@ -215,6 +226,17 @@ class TestBinomTailSimple:
 
 
 class TestBinomTailExact:
+    def test_matches_rational_oracle(self):
+        # every one of the 2**n outcomes, weighted in rational arithmetic
+        for n, p, s in [(10, "0.1", 2), (12, "0.3", 5.5), (8, "0.01", 3), (9, 0.7, 9)]:
+            pf = Fraction(p)
+            expect = sum(
+                (pf**k * (1 - pf) ** (n - k)
+                 for k in (bin(mask).count("1") for mask in range(2**n)) if k >= s),
+                Fraction(0),
+            )
+            assert exact_binom_tail(n, p, s) == float(expect), (n, p, s)
+
     def test_edge_thresholds(self):
         assert exact_binom_tail(10, "0.1", 0) == 1.0
         assert exact_binom_tail(10, "0.1", 11) == 0.0

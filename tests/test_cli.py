@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cga import experiments
+from cga.bounds import threshold_heights
 from cga.cli import (
     EXIT_BUDGET,
     EXIT_IO,
@@ -268,6 +269,15 @@ class TestBounds:
             assert code == EXIT_USAGE
             captured = capsys.readouterr()
             assert captured.out == "" and "epsilon must be finite and >= 0" in captured.err
+
+    def test_given_epsilon_is_echoed_and_used(self, capsys):
+        code = run(["bounds", "--b", "2", "--c", "2", "--alpha", "0.5",
+                    "--epsilon", "0.25", "--height", "4"])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        hs = threshold_heights(TreeParams(2, 4, 2.0), 0.25)
+        assert "# epsilon=0.25\n" in out
+        assert f"h_star={hs.h_star!r}\n" in out and f"h_epsilon={hs.h_epsilon!r}\n" in out
 
     def test_default_epsilon_is_the_experiments(self, capsys):
         # trend_below.cfg's b and c, whose experiment echo reads this epsilon
