@@ -33,6 +33,7 @@ from .experiments import (
     xs_statistics,
 )
 from .generator import (
+    Graph,
     format_real,
     read_edge_list,
     sample_graph,
@@ -51,6 +52,15 @@ EXIT_NOT_CLUSTER = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_BUDGET = 4
+
+# the exit code of an error is that of the first kind it is an instance of:
+# io.UnsupportedOperation is both a ValueError and an OSError
+_EXIT_CODES = {
+    WorkBudgetError: EXIT_BUDGET,
+    ValueError: EXIT_USAGE,
+    KeyError: EXIT_USAGE,
+    OSError: EXIT_IO,
+}
 
 THREADS_HELP = "checked (must be >= 1) and kept for compatibility; all work runs on one thread"
 MODE_HELP = ("checked and kept for compatibility: edges are counted by the graph's direction, "
@@ -105,17 +115,18 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _spec_from_args(args, g) -> tuple[ClusterSpec, str]:
-    """The flags' thresholds, and the mode to echo (by default the graph's direction)."""
+def _load(args) -> tuple[Graph, ClusterSpec, str]:
+    """The graph of --graph, the flags' thresholds, and the mode to echo
+    (by default the graph's direction)."""
+    g = read_edge_list(args.graph)
     if args.mode == "undirected" and g.directed:
         raise ValueError("--mode undirected needs an undirected graph")
     mode = args.mode or ("directed-out" if g.directed else "undirected")
-    return ClusterSpec(args.alpha, args.beta), mode
+    return g, ClusterSpec(args.alpha, args.beta), mode
 
 
 def cmd_verify(args) -> int:
-    g = read_edge_list(args.graph)
-    spec, mode = _spec_from_args(args, g)
+    g, spec, mode = _load(args)
     M = _parse_set(args.set, g.params)
     rep = event_report(M, g, spec, args.hstar if args.hstar is not None else g.params.H)
     _echo_config(
@@ -149,50 +160,39 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict else EXIT_NOT_CLUSTER
 
 
-def _print_cluster_list(result, out) -> None:
-    print(f"# search_space={result.search_space}", file=out)
-    print(f"# clusters={len(result.clusters)}", file=out)
-    for M, complete in zip(result.clusters, result.complete):
-        tag = "complete" if complete else "partial"
-        print(f"{','.join(str(v) for v in M.members)} height={M.height} {tag}", file=out)
-
-
-def cmd_enumerate(args) -> int:
-    g = read_edge_list(args.graph)
-    spec, mode = _spec_from_args(args, g)
-    result = enumerate_complete_clusters(g, spec, args.height)
+def _print_cluster_list(args, spec: ClusterSpec, mode: str, result, settings) -> None:
+    """The echo and the cluster list of `enumerate` or `oracle`; `settings`
+    are the command's own echo pairs."""
     _echo_config(
         sys.stdout,
         [
-            ("command", "enumerate"),
+            ("command", args.subcommand),
             ("graph", args.graph),
             ("alpha", spec.alpha),
             ("beta", spec.beta),
             ("mode", mode),
-            ("height", args.height),
+            *settings,
         ],
     )
-    _print_cluster_list(result, sys.stdout)
+    print(f"# search_space={result.search_space}")
+    print(f"# clusters={len(result.clusters)}")
+    for M, complete in zip(result.clusters, result.complete):
+        tag = "complete" if complete else "partial"
+        print(f"{','.join(str(v) for v in M.members)} height={M.height} {tag}")
+
+
+def cmd_enumerate(args) -> int:
+    g, spec, mode = _load(args)
+    result = enumerate_complete_clusters(g, spec, args.height)
+    _print_cluster_list(args, spec, mode, result, [("height", args.height)])
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    g = read_edge_list(args.graph)
-    spec, mode = _spec_from_args(args, g)
+    g, spec, mode = _load(args)
     result = enumerate_clusters(g, spec, args.max_size, work_budget=args.budget)
-    _echo_config(
-        sys.stdout,
-        [
-            ("command", "oracle"),
-            ("graph", args.graph),
-            ("alpha", spec.alpha),
-            ("beta", spec.beta),
-            ("mode", mode),
-            ("max_size", args.max_size),
-            ("work_budget", args.budget),
-        ],
-    )
-    _print_cluster_list(result, sys.stdout)
+    _print_cluster_list(args, spec, mode, result,
+                        [("max_size", args.max_size), ("work_budget", args.budget)])
     return EXIT_OK
 
 
@@ -297,31 +297,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("verify", help="check one vertex set against the cluster definition")
-    p.add_argument("--graph", required=True)
+    on_graph = argparse.ArgumentParser(add_help=False)  # the options `_load` reads
+    on_graph.add_argument("--graph", required=True)
+    on_graph.add_argument("--alpha", required=True)
+    on_graph.add_argument("--beta", required=True)
+    on_graph.add_argument("--mode", choices=["undirected", "directed-out"], help=MODE_HELP)
+
+    p = sub.add_parser("verify", parents=[on_graph],
+                       help="check one vertex set against the cluster definition")
     p.add_argument("--set", required=True, help="comma-separated vertex list")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
     p.add_argument("--hstar", type=int, default=None)
-    p.add_argument("--mode", choices=["undirected", "directed-out"], default=None, help=MODE_HELP)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("enumerate", help="list complete clusters at one height")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
+    p = sub.add_parser("enumerate", parents=[on_graph], help="list complete clusters at one height")
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--mode", choices=["undirected", "directed-out"], default=None, help=MODE_HELP)
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("oracle", help="list every cluster up to a size cap (exhaustive)")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
+    p = sub.add_parser("oracle", parents=[on_graph],
+                       help="list every cluster up to a size cap (exhaustive)")
     p.add_argument("--max-size", type=int, required=True, dest="max_size")
     p.add_argument("--budget", type=_at_least(0), default=DEFAULT_WORK_BUDGET,
                    help="work budget in elementary checks")
-    p.add_argument("--mode", choices=["undirected", "directed-out"], default=None, help=MODE_HELP)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bounds", help="evaluate the closed-form constants and bounds")
@@ -350,15 +346,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WorkBudgetError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

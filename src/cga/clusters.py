@@ -107,7 +107,6 @@ class EventReport:
     e1: bool
     e2: bool
     e3: bool
-    h_star_used: int
     witnesses: tuple[Witness, ...] = ()
 
     @property
@@ -148,39 +147,28 @@ def event_report(M, g: Graph, spec: ClusterSpec, h_star: int) -> EventReport:
         )
     dense_min, sparse_max = spec.cutoffs(len(M))
 
-    witnesses: list[Witness] = []
-
-    dense = True
-    for v in M.members:  # ascending, so the first failure is the witness
-        cnt = counts.get(v, 0)
-        if cnt < dense_min:
-            dense = False
-            witnesses.append(Witness("D", v, cnt))
-            break
-
     # u lies in M's height-k subtree exactly when u // b**k == M.root // b**k
     s_block, star_block = p.b**M.height, p.b**h_star
     ms = M.member_set
-    region_violation: dict[str, Witness] = {}  # the smallest-index violator per event
-    for u in sorted(u for u, cnt in counts.items() if cnt > sparse_max and u not in ms):
-        if u // s_block == M.root // s_block:
+    first: dict[str, Witness] = {}  # the smallest-index violator per event
+    for u in sorted(ms | counts.keys()):
+        cnt = counts[u]
+        if u in ms:
+            event = "D" if cnt < dense_min else None
+        elif cnt <= sparse_max:
+            event = None
+        elif u // s_block == M.root // s_block:
             event = "E1"
-        elif u // star_block == M.root // star_block:
-            event = "E2"
         else:
-            event = "E3"
-        if event not in region_violation:
-            region_violation[event] = Witness(event, u, counts[u])
-    for event in ("E1", "E2", "E3"):
-        if event in region_violation:
-            witnesses.append(region_violation[event])
+            event = "E2" if u // star_block == M.root // star_block else "E3"
+        if event is not None:
+            first.setdefault(event, Witness(event, u, cnt))
     return EventReport(
-        dense=dense,
-        e1="E1" not in region_violation,
-        e2="E2" not in region_violation,
-        e3="E3" not in region_violation,
-        h_star_used=h_star,
-        witnesses=tuple(witnesses),
+        dense="D" not in first,
+        e1="E1" not in first,
+        e2="E2" not in first,
+        e3="E3" not in first,
+        witnesses=tuple(sorted(first.values())),  # D, E1, E2, E3: by event name
     )
 
 

@@ -255,16 +255,13 @@ def _run_trials(cfg: ExperimentConfig, work: Callable, measure: Callable) -> lis
     Before any sampling, a run is refused if on some tree height H the
     expected arcs of a graph plus the reads `work(H)` counts would exceed
     the work budget.  `work(H)` is the pair (reads, context named by the
-    refusal), or None when graphs of H are not scanned.  The arcs are
-    twice `expected_edge_count`, as the CSR stores an undirected edge both
-    ways and a directed pair flips two coins."""
+    refusal).  The arcs are twice `expected_edge_count`, as the CSR stores
+    an undirected edge both ways and a directed pair flips two coins."""
     for tree_height in cfg.tree_heights:
-        scan = work(tree_height)
-        if scan is not None:
-            reads, context = scan
-            est = math.ceil(2 * expected_edge_count(cfg.params_for(tree_height))) + reads
-            if est > cfg.work_budget:
-                raise WorkBudgetError(est, cfg.work_budget, context)
+        reads, context = work(tree_height)
+        est = math.ceil(2 * expected_edge_count(cfg.params_for(tree_height))) + reads
+        if est > cfg.work_budget:
+            raise WorkBudgetError(est, cfg.work_budget, context)
 
     def run(tree_height: int, trial: int):
         started = time.perf_counter()
@@ -349,12 +346,12 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Sample trials across the configured tree heights and scan every
     requested height for cliques, dense complete sets, complete clusters,
     event rates and internal-edge statistics, one row per trial and height."""
+    if not cfg.heights:
+        raise ValueError("sweep experiments need heights in the config")
     h_stars = {(H, h): cfg.resolve_h_star(H, h) for H in cfg.tree_heights for h in cfg.heights}
     spec, c, eps = cfg.cluster_spec, format_real(cfg.c), cfg.resolved_epsilon
 
     def work(tree_height: int):
-        if not cfg.heights:
-            return None  # the trials only sample and count edges
         return cfg.b**tree_height, f"sweep at H={tree_height}, height={cfg.heights[0]}"
 
     def measure(g: Graph, trial: int, seed: int, started: float) -> list[SweepRow]:

@@ -542,5 +542,7 @@ def _body_error(body: str, directed: int) -> ValueError:
 
 
 def read_edge_list(path) -> Graph:
-    with open(path, "r") as fh:
-        return parse_edge_list(fh.read())
+    """The graph of an ASCII edge-list file whose lines end in `\\n` or
+    `\\r\\n`; the parser refuses any other `\\r`."""
+    with open(path, "rb") as fh:
+        return parse_edge_list(fh.read().decode("ascii").replace("\r\n", "\n"))

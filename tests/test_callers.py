@@ -11,8 +11,12 @@ on any object; dunder methods are exempt.  Assignments and imports do not
 count.  The entry point `cli.main` is exempt, and so are the names in the
 benchmark's `TRACED` table, which the benchmark patches by name.
 
-In the same spirit, every option a `cga` subcommand declares is read as
-`args.<dest>` somewhere in `cli.py`.
+In the same spirit, every field of a `@dataclass` of the library is read
+as an attribute somewhere in it (`rep.dense`); a field that is written
+and never read is dead weight.  An `InitVar` is an argument of
+`__post_init__`, not a field.  `NamedTuple` rows are exempt: the CSV
+reads them by iteration.  And every option a `cga` subcommand declares
+is read as `args.<dest>` somewhere in `cli.py`.
 """
 
 import argparse
@@ -53,6 +57,21 @@ def _public_members(modules) -> set[tuple[str, str, str]]:
             for node in tree.body if isinstance(node, ast.ClassDef)
             for member in node.body
             if isinstance(member, kinds) and not member.name.startswith("_")}
+
+
+def _dataclass_fields(modules) -> set[tuple[str, str, str]]:
+    """(module, class, field) of each field of a top-level `@dataclass`."""
+
+    def is_dataclass(decorator) -> bool:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return isinstance(target, ast.Name) and target.id == "dataclass"
+
+    return {(name, node.name, stmt.target.id) for name, tree in modules.items()
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            and any(is_dataclass(d) for d in node.decorator_list)
+            for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and not ast.unparse(stmt.annotation).startswith(("InitVar", "ClassVar"))}
 
 
 def _reads(modules) -> tuple[set[str], set[tuple[str, str]], set[str]]:
@@ -104,6 +123,18 @@ def test_every_public_member_has_a_caller():
         if member not in read_attrs and (module, f"{cls}.{member}") not in exempt
     )
     assert uncalled == [], f"public members that no module of src/cga reads: {uncalled}"
+
+
+def test_every_dataclass_field_has_a_reader():
+    modules = _modules()
+    _, _, read_attrs = _reads(modules)
+    fields = _dataclass_fields(modules)
+    # the guard sees the fields of every dataclass, and no InitVar
+    assert {("clusters", "EventReport", "dense"), ("tree", "TreeParams", "b")} <= fields
+    assert ("clusters", "ClusterSpec", "mode") not in fields
+    unread = sorted(f"{module}.{cls}.{field}" for module, cls, field in fields
+                    if field not in read_attrs)
+    assert unread == [], f"dataclass fields that no module of src/cga reads: {unread}"
 
 
 def _subcommand_options():

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cga import experiments
+from cga import cli, experiments
 from cga.bounds import threshold_heights
 from cga.cli import (
     EXIT_BUDGET,
@@ -32,8 +33,8 @@ from cga.experiments import (
     XsRow,
     parse_config_text,
 )
-from cga.generator import read_edge_list, sample_graph
-from cga.oracle import enumerate_clusters
+from cga.generator import read_edge_list, sample_graph, write_edge_list
+from cga.oracle import WorkBudgetError, enumerate_clusters
 from cga.tree import TreeParams
 
 
@@ -135,6 +136,20 @@ class TestVerify:
                     "--alpha", "0.5", "--beta", "0.5"])
         assert code == EXIT_USAGE
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw,named", [
+        (b"# cga b=2 H=2 c=2 seed=0 directed=0\r0 1\r2 3\r", "header: expected key=value, got '0'"),
+        (b"# cga b=2 H=2 c=2 seed=0 directed=0\n0 1\r2 3\n", "line 2: expected '<u> <v>'"),
+        (b"# cga b=2 H=2 c=2 seed=0 directed=0\n0 1\n2 3\xc2\xa0\n", "'ascii' codec"),
+    ])
+    def test_lone_carriage_return_or_non_ascii_file_exits_2(self, tmp_path, capsys, raw, named):
+        path = tmp_path / "g.el"
+        path.write_bytes(raw)
+        code = run(["verify", "--graph", str(path), "--set", "0,1",
+                    "--alpha", "1/2", "--beta", "1/2"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err
 
     def test_malformed_set_exits_2(self, edge_file):
         code = run(["verify", "--graph", edge_file, "--set", "0;1",
@@ -336,6 +351,85 @@ def test_refusal_prints_nothing_to_stdout(tmp_path, capsys, case):
     assert captured.out == "" and named in captured.err
 
 
+@pytest.mark.parametrize("error,code", [
+    (WorkBudgetError(5, 4, "a search"), EXIT_BUDGET),
+    (ValueError("a value"), EXIT_USAGE),
+    (KeyError("a key"), EXIT_USAGE),
+    (io.UnsupportedOperation("a stream"), EXIT_USAGE),  # a ValueError before an OSError
+    (FileNotFoundError("a file"), EXIT_IO),
+])
+def test_exit_code_of_each_error(capsys, monkeypatch, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_bounds", fail)
+    assert run(BOUNDS) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+HALF = ["--alpha", "1/2", "--beta", "1/2"]
+QUARTER = ["--alpha", "1/4", "--beta", "1/2"]
+
+# Pinned SHA-256 digests of the stdout of the graph commands, with their
+# exit codes.  The first word of a case names its graph: b=2 H=4 c=2, the
+# undirected one on seed 2 and the directed one on seed 1, read from
+# "<graph>.el" in the working directory so the echoed path is fixed.
+GRAPH_COMMAND_PINS = {
+    "undirected-verify-cluster": (
+        ["verify", "--set", "4,5,6,7", *HALF], EXIT_OK,
+        "66f34827f1dfa6cee9f4c2f075eb64251c6206479943871d2a9ffe4567412534"),
+    "undirected-verify-d-witness": (
+        ["verify", "--set", "0,1,2,3", *HALF], EXIT_NOT_CLUSTER,
+        "7389835e90405e44cc4d3ec8e79fd5e527a05ccad3adb4726ac005ae15ecff57"),
+    "undirected-verify-hstar": (
+        ["verify", "--set", "4,5,6,7", *HALF, "--hstar", "3"], EXIT_OK,
+        "6c0053b503a43fef41c78ff5d7795a466a1de8160b193801c0be921b97af740b"),
+    # the E1 witness (vertex 5) prints before the smaller E3 witness (vertex 0)
+    "undirected-verify-e1-e3-witnesses": (
+        ["verify", "--set", "4,6", *QUARTER, "--hstar", "2"], EXIT_NOT_CLUSTER,
+        "257e9dfa77ba14b2cabbd287240b6f79707fa443dd462804261eedaeb5815a54"),
+    "undirected-enumerate-h1": (
+        ["enumerate", *HALF, "--height", "1"], EXIT_OK,
+        "f5299bac4e4836c92882155a9de8ef1c0e842f5c59e61f711d9ffc56aa05a8c0"),
+    "undirected-enumerate-h2": (
+        ["enumerate", *HALF, "--height", "2"], EXIT_OK,
+        "01d590f66ff3a90e9079b642f8b9fc4b60571044ecde635ae81e299908c86d58"),
+    "undirected-oracle": (
+        ["oracle", *HALF, "--max-size", "2"], EXIT_OK,
+        "6807904480785713930897cead3b07f8f8e24ee76dc37e5c0c8ef81527c4c2df"),
+    "directed-verify-cluster-mode": (
+        ["verify", "--set", "4,5", *HALF, "--mode", "directed-out"], EXIT_OK,
+        "78534cb3ad091906df78bc309c538a36477baac94719051f93ff388aadf0f7a8"),
+    "directed-verify-d-e1-e3-witnesses": (
+        ["verify", "--set", "0,3", *HALF, "--hstar", "2"], EXIT_NOT_CLUSTER,
+        "349df3f6d2ab1fdea995b1de9e5bbd89a26b6ab3163e6176511d8406b37403f3"),
+    "directed-verify-d-e1-e2-witnesses": (
+        ["verify", "--set", "8,12", *QUARTER, "--hstar", "4"], EXIT_NOT_CLUSTER,
+        "3f38ad24ac00bc8ffec965fff3055bd502479d578f2a11fd44c8fb3f63caa59b"),
+    "directed-enumerate-h1": (
+        ["enumerate", *HALF, "--height", "1"], EXIT_OK,
+        "0cb4fe6f318c4cc24e26517cb02359f3196bd1615225c9b4bf9587bb5217cca7"),
+    "directed-enumerate-h2": (
+        ["enumerate", *HALF, "--height", "2"], EXIT_OK,
+        "c2d4b222ba23e8637adacdcae33a1315dafb1710b9c6691d452fa0b51226a360"),
+    "directed-oracle": (
+        ["oracle", *HALF, "--max-size", "2"], EXIT_OK,
+        "f5e84e49009623754a9014d53c976018eee8ef8caab8f2cab58edd72cb12a1b5"),
+}
+
+
+@pytest.mark.parametrize("case", list(GRAPH_COMMAND_PINS))
+def test_graph_command_digest(tmp_path, capsys, monkeypatch, case):
+    argv, code, digest = GRAPH_COMMAND_PINS[case]
+    graph = case.split("-")[0]
+    seed, directed = {"undirected": (2, False), "directed": (1, True)}[graph]
+    monkeypatch.chdir(tmp_path)
+    write_edge_list(sample_graph(TreeParams(2, 4, 2.0), seed, directed=directed), f"{graph}.el")
+    assert run([argv[0], "--graph", f"{graph}.el", *argv[1:]]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 SWEEP_CONFIG = """\
 # sample experiment
 b = 2
@@ -464,6 +558,7 @@ class TestExperimentCommand:
         ("h_from = -3\nh_to = 3", "tree height"),
         ("h_from = 0\nh_to = 3", "tree height"),
         ("h_from = 2\nh_to = 3\nh_star = 99", "h_star 99 outside [0, 2]"),
+        ("h_from = 4\nh_to = 5", "sweep experiments need heights in the config"),
     ])
     def test_bad_heights_exit_2_before_the_sweep_starts(self, tmp_path, capsys,
                                                         monkeypatch, text, named):
@@ -474,7 +569,8 @@ class TestExperimentCommand:
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(f"b = 2\nc = 2\ntrials = 1\n{text}\n")
         assert run(["experiment", "sweep", "--config", str(cfg_path)]) == EXIT_USAGE
-        assert named in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err
 
     def test_unresolvable_splitting_height_exits_2_before_sampling(self, tmp_path, capsys,
                                                                   monkeypatch):

@@ -217,7 +217,7 @@ class TestEdgeListFormat:
             assert read_edge_list(path) == g
 
     def test_crlf_file_reads(self, tmp_path):
-        # text mode turns each \r\n into the \n the parser splits at
+        # the reader turns each \r\n into the \n the parser splits at
         g = sample_graph(TreeParams(2, 5, 2.0), 42)
         path = tmp_path / "g.el"
         path.write_bytes(edge_list_text(g).replace("\n", "\r\n").encode())
