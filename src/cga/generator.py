@@ -23,7 +23,6 @@ drawn in: each reads only its own stream.
 
 from __future__ import annotations
 
-import io
 import math
 import re
 from bisect import bisect_right
@@ -69,7 +68,12 @@ class Csr(NamedTuple):
             keys = src * n
             keys += dst
             keys.sort()
-            src, dst = np.divmod(keys, n)
+            if n & (n - 1) == 0:  # n = 2**k: split by shift and mask
+                src = keys >> (n.bit_length() - 1)
+                keys &= n - 1
+                dst = keys
+            else:
+                src, dst = np.divmod(keys, n)
         else:
             order = np.lexsort((dst, src))
             src, dst = src[order], dst[order]
@@ -479,10 +483,21 @@ def write_edge_list(g: Graph, path) -> None:
         fh.write(edge_list_text(g).encode("ascii"))
 
 
-def parse_edge_list(text: str) -> Graph:
-    header, _, body = text.partition("\n")
-    if not header.startswith("# cga "):
+def parse_edge_list(data: bytes) -> Graph:
+    """The graph of the bytes of an edge-list file: a `# cga ...` header
+    line, then one `<u> <v>` line per edge, where only `\\n` ends a line.
+    Only the header is decoded; the body is tokenised as bytes by
+    `_body_edges`.  A malformed header or body is a ValueError that names
+    the field or the first bad line."""
+    head, _, body = data.partition(b"\n")
+    if not head.startswith(b"# cga "):
         raise ValueError("missing '# cga ...' header line")
+    try:
+        header = head.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"header: non-ASCII byte {head[exc.start]:#04x} at column {exc.start + 1}"
+        ) from None
     fields: dict[str, str] = {}
     for item in header[len("# cga ") :].split():
         key, eq, value = item.partition("=")
@@ -501,25 +516,73 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"header missing field {exc}") from exc
     if directed not in (0, 1):
         raise ValueError(f"header field directed must be 0 or 1, got {directed}")
-    edges = np.empty((0, 2), np.int64)
-    if body.strip(" \t\n"):
-        # numpy's text reader gets only the characters of integer lines: it
-        # may read an integer through a float, and other text has crashed
-        # the interpreter
-        try:
-            edges = (np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
-                     if _BODY_CHARS.fullmatch(body) else None)
-        except (ValueError, OverflowError):
-            edges = None
-    if edges is None or edges.shape[1] != 2 or (
-        not directed and np.count_nonzero(edges[:, 0] >= edges[:, 1])
-    ):
-        raise _body_error(body, directed)
+    edges = _body_edges(body)
+    if edges is None or (not directed and np.count_nonzero(edges[:, 0] >= edges[:, 1])):
+        raise _body_error(body.decode("latin-1"), directed)
     return Graph.from_edges(params, edges, directed=bool(directed), seed=seed)
 
 
 _HEADER_FIELDS = frozenset({"b", "H", "c", "seed", "directed"})
-_BODY_CHARS = re.compile(r"[0-9+\- \t\n]*")
+_BODY_BYTES = b"0123456789+- \t\n"
+_NEWLINE, _SPACE, _PLUS, _MINUS = b"\n +-"
+_SHORT_TOKEN = 18  # bytes; a token this short always fits in int64
+
+
+def _body_edges(body: bytes) -> np.ndarray | None:
+    """The (E, 2) int64 array of an edge-list body whose lines each hold
+    two integer tokens, or None for any other body.  numpy's text reader
+    gives the values, but it reads a lone sign as 0 and saturates beyond
+    int64, so it only sees a body whose every token `_token_count` checked;
+    the per-token arrays of that check are freed before the values are
+    allocated."""
+    if body.translate(None, _BODY_BYTES):
+        return None
+    tokens = _token_count(body)
+    if tokens is None:
+        return None
+    if not tokens:  # the text reader makes one value of a blank body
+        return np.empty((0, 2), np.int64)
+    values = np.fromstring(body, np.int64, sep=" ")
+    return values.reshape(-1, 2) if len(values) == tokens else None
+
+
+def _token_count(body: bytes) -> int | None:
+    """The number of tokens of a body of digits, signs and blanks, or None
+    unless every line holds two integer tokens that fit in int64.  Tokens
+    are the runs of bytes above b" ", found with one bool per byte."""
+    a = np.frombuffer(body, np.uint8)
+    inside = np.zeros(len(a) + 2, bool)  # inside[k + 1]: body[k] is in a token
+    np.greater(a, _SPACE, out=inside[1:-1])
+    edge = inside[1:] != inside[:-1]
+    del inside
+    bounds = edge.nonzero()[0]
+    del edge
+    starts, ends = bounds[0::2], bounds[1::2]
+    if len(starts) % 2:
+        return None
+    if not len(starts):
+        return 0
+    lengths = ends - starts
+    # whether a newline follows each token but the last: never after the
+    # first of a line, always after the second
+    if ends[-1] - starts[0] == lengths.sum() + len(lengths) - 1:  # one-byte gaps
+        newline = a[ends[:-1]] == _NEWLINE
+    else:  # a newline in the bytes from one token's start to the next's
+        newline = np.logical_or.reduceat(a == _NEWLINE, starts)[:-1]
+    if newline[0::2].any() or not newline[1::2].all():
+        return None
+    if b"+" in body or b"-" in body:  # a sign only leads a token, before a digit
+        sign = a == _PLUS
+        sign |= a == _MINUS
+        leads = sign[starts]
+        if np.count_nonzero(leads) < np.count_nonzero(sign) or (lengths[leads] < 2).any():
+            return None
+    for k in np.flatnonzero(lengths > _SHORT_TOKEN).tolist():
+        if not -_INT64_MAX - 1 <= int(body[starts[k] : ends[k]]) <= _INT64_MAX:
+            return None
+    return len(starts)
+
+
 _LINE = re.compile(r"[ \t]*([+-]?[0-9]+)[ \t]+([+-]?[0-9]+)[ \t]*")
 
 
@@ -542,7 +605,13 @@ def _body_error(body: str, directed: int) -> ValueError:
 
 
 def read_edge_list(path) -> Graph:
-    """The graph of an ASCII edge-list file whose lines end in `\\n` or
-    `\\r\\n`; the parser refuses any other `\\r`."""
+    """The graph of an edge-list file whose lines end in `\\n` or
+    `\\r\\n`.  Its bytes go to `parse_edge_list` as read, with each
+    `\\r\\n` turned into `\\n` only when the file holds a `\\r`; the
+    parser refuses any other `\\r`, and names the line of a non-ASCII
+    byte."""
     with open(path, "rb") as fh:
-        return parse_edge_list(fh.read().decode("ascii").replace("\r\n", "\n"))
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    return parse_edge_list(data)

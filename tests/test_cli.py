@@ -140,7 +140,7 @@ class TestVerify:
     @pytest.mark.parametrize("raw,named", [
         (b"# cga b=2 H=2 c=2 seed=0 directed=0\r0 1\r2 3\r", "header: expected key=value, got '0'"),
         (b"# cga b=2 H=2 c=2 seed=0 directed=0\n0 1\r2 3\n", "line 2: expected '<u> <v>'"),
-        (b"# cga b=2 H=2 c=2 seed=0 directed=0\n0 1\n2 3\xc2\xa0\n", "'ascii' codec"),
+        (b"# cga b=2 H=2 c=2 seed=0 directed=0\n0 1\n2 3\xc2\xa0\n", "line 3: expected '<u> <v>'"),
     ])
     def test_lone_carriage_return_or_non_ascii_file_exits_2(self, tmp_path, capsys, raw, named):
         path = tmp_path / "g.el"

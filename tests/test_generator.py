@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from collections import Counter
 from itertools import combinations, permutations
 from unittest import mock
@@ -26,7 +27,7 @@ from cga.generator import (
 )
 from cga.rng import SubstreamSampler, splitmix64, substream
 from cga.tree import TreeParams
-from util import (all_pair_probs, block_pair, has_edge, in_neighbors, neighbors,
+from util import (all_pair_probs, block_pair, has_edge, in_neighbors, loadtxt_body, neighbors,
                   reference_edge_list_text, sample_graph_naive)
 
 P22 = TreeParams(2, 2, 2.0)
@@ -248,12 +249,12 @@ class TestEdgeListFormat:
     )
     def test_rejects_malformed_files(self, text):
         with pytest.raises(ValueError):
-            parse_edge_list(text)
+            parse_edge_list(text.encode())
 
     def test_vertex_beyond_int64_names_its_line(self):
         text = "# cga b=2 H=2 c=2 seed=0 directed=0\n0 1\n99999999999999999999 1\n"
         with pytest.raises(ValueError, match="line 3: vertex 99999999999999999999"):
-            parse_edge_list(text)
+            parse_edge_list(text.encode())
 
     def test_bad_lines_are_named(self):
         head = "# cga b=2 H=2 c=2 seed=0 directed=0\n0 1\n\n"
@@ -266,9 +267,14 @@ class TestEdgeListFormat:
             ("1e1 20\n", "line 4: expected '<u> <v>'"),
             ("1\x1f2\n", "line 4: expected '<u> <v>'"),
             ("1 2\x1c2 3\n", "line 4: expected '<u> <v>'"),  # only \n ends a line
+            ("2 3\u00a0\n", "line 4: expected '<u> <v>', got '2 3\u00c2\\xa0'"),  # UTF-8 c2 a0
         ]:
             with pytest.raises(ValueError, match=re.escape(message)):
-                parse_edge_list(head + body)
+                parse_edge_list((head + body).encode())
+
+    def test_non_ascii_header_byte_is_named(self):
+        with pytest.raises(ValueError, match="header: non-ASCII byte 0xc3 at column 25"):
+            parse_edge_list("# cga b=2 H=2 c=2 seed=0\u00e9 directed=0\n0 1\n".encode())
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -287,10 +293,95 @@ class TestEdgeListFormat:
         header = {"b": "2", "H": "3", "c": "2", "seed": "0", "directed": "0", **fields}
         text = "\n".join(["# cga " + " ".join(f"{k}={v}" for k, v in header.items()), *body])
         try:
-            g = parse_edge_list(text)
+            g = parse_edge_list(text.encode("utf-8"))
         except ValueError:
             return
         assert isinstance(g.directed, bool) and 0 <= g.seed < 2**64
+
+
+def _signed(digits: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+    return st.tuples(st.sampled_from(["", "", "+", "-"]), digits).map("".join)
+
+
+# Values are small numbers, with signs and leading zeros, and 18- and
+# 19-digit ones within int64.  Tokens add 18- to 20-digit numbers of any
+# size, the numbers next to +-2**63, and misplaced signs.
+_NUMBERS = _signed(st.tuples(st.sampled_from(["", "0", "00"]), st.integers(0, 10**4).map(str))
+                   .map("".join))
+_VALUES = st.one_of(st.integers(0, 40).map(str), _NUMBERS,
+                    _signed(st.integers(10**17, 2**63 - 1).map(str)), st.just(str(-(2**63))))
+_TOKENS = st.one_of(
+    _VALUES,
+    _signed(st.sampled_from([18, 19, 20]).flatmap(
+        lambda k: st.integers(10 ** (k - 1), 10**k - 1)).map(str)),
+    (st.integers(2**63 - 2, 2**63 + 1) | st.integers(-(2**63) - 2, -(2**63) + 1)).map(str),
+    st.sampled_from(["+", "-"]),  # numpy's text reader reads a lone sign as 0
+    st.sampled_from(["+-1", "--1", "1-2", "3+", "0-"]),
+)
+_BLANKS = st.sampled_from([" ", "\t", "  ", " \t "])
+_LEAD = st.sampled_from(["", "", " ", "\t"])
+
+
+def _line(tokens: st.SearchStrategy[list[str]]) -> st.SearchStrategy[str]:
+    return st.tuples(_LEAD, tokens, _BLANKS, _LEAD).map(lambda t: t[0] + t[2].join(t[1]) + t[3])
+
+
+_EDGE_LINES = _line(st.lists(_VALUES, min_size=2, max_size=2)) | _line(st.just([]))
+_ANY_LINES = _line(st.lists(_TOKENS, max_size=4))
+
+
+@st.composite
+def _bodies(draw) -> str:
+    """Lines of two values and blank lines; in most bodies one or two
+    lines of 0-4 tokens of any kind among them; a final newline or none;
+    and now and then a lone carriage return or a non-ASCII character."""
+    lines = draw(st.lists(_EDGE_LINES, max_size=5))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_ANY_LINES))
+    body = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    odd = draw(st.sampled_from([""] * 9 + ["\r", "\xa0", "\xe9", "\x00"]))
+    at = draw(st.integers(0, len(body)))
+    return body[:at] + odd + body[at:]
+
+
+class TestBodyParse:
+    """The byte tokeniser against numpy's text reader, the body parse of
+    earlier releases (`util.loadtxt_body`)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(body=_bodies())
+    @example(body="0 1\n2 3\xc2\xa0\n")
+    @example(body="0 1\n5\n7\n")  # two tokens, one per line
+    @example(body="1-2 +\n")  # a sign inside a token and a lone one
+    @example(body="5 -\n")
+    @example(body="1 2 3 4\n")
+    @example(body="1 2\r\n3 4\n")
+    @example(body="\n\n 1\t 2 \n\n+3 -4")
+    @example(body=f"{2**63 - 1} {-(2**63)}\n{2**63} 1\n")
+    @example(body=f"-{'0' * 30}9 00000000000000000001\n")
+    def test_matches_loadtxt(self, body):
+        want = loadtxt_body(body)
+        got = generator._body_edges(body.encode("latin-1"))
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and got.dtype == np.int64
+            assert got.shape == want.shape and got.tolist() == want.tolist()
+
+    def test_read_peak_memory_per_file_byte(self, tmp_path):
+        # scratch arrays over the file are one byte per byte and int64 ones
+        # one entry per token, about 6.9 bytes per file byte in all; one
+        # int64 per file byte would add 8 more
+        bound = 8  # tracemalloc peak of read_edge_list, bytes per file byte
+        path = tmp_path / "g.el"
+        write_edge_list(sample_graph(TreeParams(2, 14, 2.0), 14, directed=True), path)
+        tracemalloc.start()
+        try:
+            read_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * path.stat().st_size
 
 
 def _expected_text(g) -> str:
@@ -327,7 +418,7 @@ class TestArrayWriter:
         text = edge_list_text(g)
         assert text == _expected_text(g)
         assert text.count("\n") == 1 + len(pairs)
-        assert parse_edge_list(text) == g
+        assert parse_edge_list(text.encode()) == g
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), top=st.sampled_from([10**8 - 1, 10**8, 2**63 - 1]),
@@ -344,7 +435,7 @@ class TestArrayWriter:
         g = Graph.from_edges(TreeParams(2, 63, 2.0), [(0, top), *pairs], directed=directed)
         text = edge_list_text(g)
         assert text == _expected_text(g)
-        assert parse_edge_list(text) == g
+        assert parse_edge_list(text.encode()) == g
 
     def test_every_digit_count(self):
         # each leaf of DIGIT_EDGES joined to the next one, both ways round
@@ -355,7 +446,7 @@ class TestArrayWriter:
             g = Graph.from_edges(TreeParams(2, 63, 2.0), edges, directed=directed)
             text = edge_list_text(g)
             assert text == _expected_text(g)
-            assert parse_edge_list(text) == g
+            assert parse_edge_list(text.encode()) == g
 
 
 class TestGraphConstruction:
@@ -400,7 +491,7 @@ def _check_against_reference(g, pairs, directed, vertices):
 
 class TestGraphAgainstReference:
     @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), b=st.sampled_from([2, 3]), directed=st.booleans())
+    @given(data=st.data(), b=st.sampled_from([2, 3, 4]), directed=st.booleans())
     def test_matches_dict_of_sets(self, data, b, directed):
         p = TreeParams(b, data.draw(st.integers(1, 3 if b == 2 else 2)), 2.0)
         slots = list((permutations if directed else combinations)(range(p.n), 2))
@@ -437,7 +528,7 @@ class TestGraphAgainstReference:
         text = edge_list_text(g)
         lines = text.splitlines()[1:]
         assert lines == sorted(f"{u} {v}" for u, v in g.edges())
-        assert parse_edge_list(text) == g
+        assert parse_edge_list(text.encode()) == g
 
 
     def test_close_8_digit_leaves_keep_string_order(self):

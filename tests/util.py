@@ -10,7 +10,9 @@ one against `exact_binom_tail` or a Monte Carlo sum.
 
 from __future__ import annotations
 
+import io
 import math
+import re
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
@@ -265,3 +267,22 @@ def reference_edge_list_text(g) -> str:
         flat = lines[lo : lo + 2**14].ravel().tolist()
         parts.append(("%d %d\n" * (len(flat) // 2)) % tuple(flat))
     return "".join(parts)
+
+
+_BODY_CHARS = re.compile(r"[0-9+\- \t\n]*")
+
+
+def loadtxt_body(body: str):
+    """The (E, 2) int64 array that numpy's text reader makes of an
+    edge-list body, or None where it refuses it: the reader sees only text
+    of digits, signs and blanks.  The slow body parse of earlier releases,
+    kept as the oracle of `cga.generator._body_edges`."""
+    if not body.strip(" \t\n"):
+        return np.empty((0, 2), np.int64)
+    if not _BODY_CHARS.fullmatch(body):
+        return None
+    try:
+        edges = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+    return edges if edges.shape[1] == 2 else None
