@@ -13,12 +13,12 @@ block's edge count from a binomial (numpy's exact inversion/BTPE
 implementation), then places that many distinct pairs per block uniformly
 via a partial Fisher-Yates over an implicit rank <-> pair bijection, and
 decodes the ranks into leaf pairs with the class's scalar divisors.  Only
-the blocks with a repeated draw replay their swaps: in arrays (`_replay`)
-when they hold _ARRAY_REPLAY_MIN draws or more, else one block at a time
-(`_fisher_yates`).  Work is therefore proportional to the number of
-blocks plus the number of edges produced, and the output for a given
-(params, seed, directed) is bit-identical whatever order the chunks are
-drawn in: each reads only its own stream.
+the blocks with a repeated draw replay their swaps, and of their draws
+only those that repeat or fall below the block's draw count can deal
+another value (`_deal_repeats`).  Work is therefore proportional to the
+number of blocks plus the number of edges produced, and the output for a
+given (params, seed, directed) is bit-identical whatever order the chunks
+are drawn in: each reads only its own stream.
 """
 
 from __future__ import annotations
@@ -38,10 +38,11 @@ from .tree import TreeParams
 _BLOCK_CHUNK = 8192  # blocks per task and per stream; part of the layout
 _INT64_MAX = 2**63 - 1
 _LINES_PER_SLICE = 2**14  # edge-list lines formatted per step
-# draws in a chunk's blocks with a repeat from which the array replay is
-# the faster one: on a 2-vCPU VM it took about 14 us plus 0.05 us per
-# draw, and the blocks one at a time 0.8 us each plus 0.11 us per draw
-_ARRAY_REPLAY_MIN = 100
+# draws in a chunk's repeat blocks from which _deal_repeats keeps only
+# the draws that can move: on a 2-vCPU VM that took 6.5 us plus 0.009 us
+# per draw, and the loop 0.17 us per draw it replays, so it pays from 70
+# draws when 60% go, the least share seen in chunks of 50-250 such draws
+_NARROW_MIN = 70
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -226,69 +227,37 @@ def _child_pairs(b: int) -> np.ndarray:
     return _frozen(np.array([(i, k) for i in range(b) for k in range(i + 1, b)]).T)
 
 
-def _fisher_yates(draws: list[int]) -> list[int]:
-    """The values a partial Fisher-Yates shuffle of [0, population) deals
-    when step i swaps position i with position draws[i] >= i.  A position
-    is read after being written only when a draw repeats, so without a
-    repeated draw the values dealt are the draws themselves."""
+def _deal_repeats(ranks, low, owner, population, counts, block_lo, twice) -> None:
+    """Deal in place the draws of the chunk's blocks that hold a repeated
+    draw, by each block's partial Fisher-Yates shuffle: step i swaps
+    positions i and t = draws[i] >= i, then deals position i.  `twice`
+    holds, sorted, the keys block * population + draw that occur more
+    than once.
+
+    Step i deals t unless an earlier step of its block drew t, and writes
+    position i's value to position t, which a later step reads only if it
+    draws t as well or, when t is below the block's draw count d, as its
+    own position.  So a draw that neither repeats in its block nor is
+    below d deals itself and writes what no step reads; from _NARROW_MIN
+    draws on, only the other draws are kept.  One loop replays what is
+    kept in draw order, each position keyed as block * population +
+    position."""
+    in_repeat = np.zeros(len(counts), bool)
+    in_repeat[twice // population - block_lo] = True
+    at = in_repeat.repeat(counts).nonzero()[0]
+    base = owner[at] * population
+    keys = base + ranks[at]
+    if len(at) >= _NARROW_MIN:
+        found = twice.searchsorted(keys).clip(max=len(twice) - 1)
+        moves = twice[found] == keys
+        moves |= ranks[at] < counts[owner[at] - block_lo]
+        at, base, keys = at[moves], base[moves], keys[moves]
     moved: dict[int, int] = {}
-    out = []
-    for i, t in enumerate(draws):
-        out.append(moved.get(t, t))
-        moved[t] = moved.get(i, i)
-    return out
-
-
-def _replay(draws: np.ndarray, low: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """What _fisher_yates deals, for the draws of whole blocks at once: draw
-    i is step low[i] of its block, and base[i] is block * population for
-    an order-keeping block number.
-
-    Step i deals its draw t unless an earlier step k of its block drew t
-    too; then it deals Q(k) for the last such k.  Q(k), the value that
-    position k held at step k, is k unless an earlier step m drew k, and
-    then Q(m) for the last such m.  A stable sort of the keys base + draw
-    lines up the steps that drew one value in step order, one search finds
-    each m, and pointer jumping follows each chain of m to its start."""
-    keys = base + draws
-    order = keys.argsort(kind="stable")
-    ranked = keys[order]
-    same = (ranked[1:] == ranked[:-1]).nonzero()[0]
-    earlier = np.full(len(keys), -1)  # the last earlier step with the same draw
-    earlier[order[same + 1]] = order[same]
-    # the last step m <= k that drew k; m = k is a self-swap, whose Q no
-    # later step reads, since a later step draws above k
-    own = base + low  # the key of the value k
-    at = ranked.searchsorted(own, side="right") - 1
-    step = np.arange(len(keys))
-    start = np.where(ranked[at] == own, order[at], step)
-    while True:  # start[k] <= k, and each pass halves the chains left
-        up = start[start]
-        if (up == start).all():
-            break
-        start = up
-    dealt = draws.copy()
-    repeat = earlier >= 0
-    dealt[repeat] = low[start[earlier[repeat]]]
-    return dealt
-
-
-def _deal_repeats(ranks, low, owner, population, counts, starts, repeats) -> None:
-    """Deal in place the draws of the chunk's blocks `repeats` (indices
-    within the chunk, maybe more than once each) by their partial
-    Fisher-Yates shuffles: in arrays when those blocks hold
-    _ARRAY_REPLAY_MIN draws or more, else one block at a time."""
-    if len(ranks) >= _ARRAY_REPLAY_MIN:  # else the repeat blocks hold fewer
-        in_repeat = np.zeros(len(counts), bool)
-        in_repeat[repeats] = True
-        in_repeat = in_repeat.repeat(counts)
-        if np.count_nonzero(in_repeat) >= _ARRAY_REPLAY_MIN:
-            ranks[in_repeat] = _replay(ranks[in_repeat], low[in_repeat],
-                                       owner[in_repeat] * population)
-            return
-    for i in set(repeats.tolist()):
-        lo, hi = starts[i], starts[i] + counts[i]
-        ranks[lo:hi] = _fisher_yates(ranks[lo:hi].tolist())
+    dealt = []
+    for key, own in zip(keys.tolist(), (base + low[at]).tolist()):
+        dealt.append(moved.get(key, key))
+        moved[key] = moved.get(own, own)
+    ranks[at] = np.array(dealt, np.int64) - base
 
 
 def _sample_blocks(
@@ -309,8 +278,8 @@ def _sample_blocks(
     placement draws gen.integers(t, population) of every block in block
     order, t counting within each block, in one more; a partial
     Fisher-Yates shuffle deals each block's draws.  One sort of the keys
-    block * population + draw finds the blocks with a repeated draw, and
-    only their draws are replayed (`_deal_repeats`).  The ranks then
+    block * population + draw finds the keys drawn twice, and only the
+    blocks that hold one are replayed (`_deal_repeats`).  The ranks then
     decode with the class's divisors b**(j-1) and b**(2*(j-1)) and the
     block roots, with the arc direction in the lowest digit."""
     b = params.b
@@ -331,9 +300,9 @@ def _sample_blocks(
         # the class's pair count, at most the top population
         keys = owner * population + ranks
         keys.sort()
-        repeats = keys[1:][keys[1:] == keys[:-1]] // population  # their blocks
-        if len(repeats):
-            _deal_repeats(ranks, low, owner, population, counts, starts, repeats - block_lo)
+        twice = keys[1:][keys[1:] == keys[:-1]]
+        if len(twice):
+            _deal_repeats(ranks, low, owner, population, counts, block_lo, twice)
     # rank -> (child pair, offset in the first child, offset in the second)
     if directed:
         ranks, flip = np.divmod(ranks, 2)
@@ -553,6 +522,7 @@ def _token_count(body: bytes) -> int | None:
     a = np.frombuffer(body, np.uint8)
     inside = np.zeros(len(a) + 2, bool)  # inside[k + 1]: body[k] is in a token
     np.greater(a, _SPACE, out=inside[1:-1])
+    filled = np.count_nonzero(inside)  # the bytes within tokens
     edge = inside[1:] != inside[:-1]
     del inside
     bounds = edge.nonzero()[0]
@@ -562,15 +532,15 @@ def _token_count(body: bytes) -> int | None:
         return None
     if not len(starts):
         return 0
-    lengths = ends - starts
     # whether a newline follows each token but the last: never after the
     # first of a line, always after the second
-    if ends[-1] - starts[0] == lengths.sum() + len(lengths) - 1:  # one-byte gaps
+    if ends[-1] - starts[0] == filled + len(starts) - 1:  # one-byte gaps
         newline = a[ends[:-1]] == _NEWLINE
     else:  # a newline in the bytes from one token's start to the next's
         newline = np.logical_or.reduceat(a == _NEWLINE, starts)[:-1]
     if newline[0::2].any() or not newline[1::2].all():
         return None
+    lengths = ends - starts  # not before: it would be alive while reduceat copies starts
     if b"+" in body or b"-" in body:  # a sign only leads a token, before a digit
         sign = a == _PLUS
         sign |= a == _MINUS

@@ -11,6 +11,11 @@ on any object; dunder methods are exempt.  Assignments and imports do not
 count.  The entry point `cli.main` is exempt, and so are the names in the
 benchmark's `TRACED` table, which the benchmark patches by name.
 
+A private top-level function, class or constant (`_BLOCK_CHUNK`) has a
+reader too, in its own module: the guard reads each module of `src/cga`
+for its own private names, so a helper kept only for the tests, or one
+left behind by a rewrite, fails it.
+
 In the same spirit, every field of a `@dataclass` of the library is read
 as an attribute somewhere in it (`rep.dense`); a field that is written
 and never read is dead weight.  An `InitVar` is an argument of
@@ -57,6 +62,20 @@ def _public_members(modules) -> set[tuple[str, str, str]]:
             for node in tree.body if isinstance(node, ast.ClassDef)
             for member in node.body
             if isinstance(member, kinds) and not member.name.startswith("_")}
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """The private names a module defines at top level: functions,
+    classes and assigned names, dunder names aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {name.id for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
 
 
 def _dataclass_fields(modules) -> set[tuple[str, str, str]]:
@@ -123,6 +142,18 @@ def test_every_public_member_has_a_caller():
         if member not in read_attrs and (module, f"{cls}.{member}") not in exempt
     )
     assert uncalled == [], f"public members that no module of src/cga reads: {uncalled}"
+
+
+def test_every_private_definition_is_read_in_its_module():
+    unread = []
+    for module, tree in _modules().items():
+        private = _private_definitions(tree)
+        if module == "generator":  # the guard sees functions, constants and tuple targets
+            assert {"_sample_blocks", "_BLOCK_CHUNK", "_MINUS"} <= private
+        reads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{module}.{name}" for name in sorted(private - reads)]
+    assert unread == [], f"private definitions that their own module never reads: {unread}"
 
 
 def test_every_dataclass_field_has_a_reader():

@@ -3,7 +3,7 @@ import math
 import re
 import tracemalloc
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from unittest import mock
 
 import numpy as np
@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from cga import generator
 from cga.generator import (
     Graph,
-    _fisher_yates,
-    _replay,
+    _deal_repeats,
     _sample_blocks,
     edge_list_text,
     expected_edge_count,
@@ -27,8 +26,8 @@ from cga.generator import (
 )
 from cga.rng import SubstreamSampler, splitmix64, substream
 from cga.tree import TreeParams
-from util import (all_pair_probs, block_pair, has_edge, in_neighbors, loadtxt_body, neighbors,
-                  reference_edge_list_text, sample_graph_naive)
+from util import (all_pair_probs, block_pair, fisher_yates, has_edge, in_neighbors, loadtxt_body,
+                  neighbors, reference_edge_list_text, sample_graph_naive)
 
 P22 = TreeParams(2, 2, 2.0)
 P23 = TreeParams(2, 3, 2.0)
@@ -371,17 +370,21 @@ class TestBodyParse:
     def test_read_peak_memory_per_file_byte(self, tmp_path):
         # scratch arrays over the file are one byte per byte and int64 ones
         # one entry per token, about 6.9 bytes per file byte in all; one
-        # int64 per file byte would add 8 more
+        # int64 per file byte would add 8 more.  Two spaces between the
+        # vertices take the tokeniser's other newline rule.
         bound = 8  # tracemalloc peak of read_edge_list, bytes per file byte
-        path = tmp_path / "g.el"
+        path, wide = tmp_path / "g.el", tmp_path / "wide.el"
         write_edge_list(sample_graph(TreeParams(2, 14, 2.0), 14, directed=True), path)
-        tracemalloc.start()
-        try:
-            read_edge_list(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * path.stat().st_size
+        head, _, body = path.read_bytes().partition(b"\n")
+        wide.write_bytes(head + b"\n" + body.replace(b" ", b"  "))
+        for file in (path, wide):
+            tracemalloc.start()
+            try:
+                read_edge_list(file)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * file.stat().st_size, file.name
 
 
 def _expected_text(g) -> str:
@@ -611,7 +614,7 @@ def test_fisher_yates_matches_an_explicit_shuffle(data):
     for i, t in enumerate(draws):
         deck[i], deck[t] = deck[t], deck[i]
     dealt = deck[: len(draws)]
-    assert _fisher_yates(draws) == dealt
+    assert fisher_yates(draws) == dealt
     if len(set(draws)) == len(draws):  # the sampler's shortcut
         assert dealt == draws
 
@@ -633,19 +636,44 @@ def _chunks_of_blocks(draw):
     return population, first, [draw(_blocks_of_draws(population, k)) for k in counts]
 
 
+def _deal_chunk(population: int, first: int, blocks: list[list[int]]) -> list[int]:
+    """The draws of `blocks`, blocks first, first + 1, ... of one chunk,
+    dealt by `_deal_repeats` as `_sample_blocks` calls it."""
+    counts = np.array([len(block) for block in blocks], np.int64)
+    owner = (first + np.arange(len(blocks))).repeat(counts)  # first + len(blocks) may be 2**63
+    ranks = np.array([t for block in blocks for t in block], np.int64)
+    low = np.array([i for block in blocks for i in range(len(block))], np.int64)
+    keys = np.sort(owner * population + ranks)
+    twice = keys[1:][keys[1:] == keys[:-1]]
+    if len(twice):
+        _deal_repeats(ranks, low, owner, population, counts, first, twice)
+    return ranks.tolist()
+
+
 @settings(max_examples=300, deadline=None)
 @given(chunk=_chunks_of_blocks())
 # a block without a repeat beside one with; self-draws (t = i); a chain of
-# three: step 3 deals Q(2) = Q(1) = Q(0) = 0
+# three: steps 0-2 carry the value 0 to position 3, which step 3 deals
 @example(chunk=(5, 0, [[3, 4, 2], [0, 1, 2, 3], [1, 2, 3, 3], [2, 2, 2]]))
 @example(chunk=(12, 7, [[1, 2, 3, 4, 5, 5], [], [11, 11, 11, 11]]))
-def test_array_replay_matches_fisher_yates(chunk):
+@example(chunk=(2, 2**62 - 2, [[1, 1], [1, 1]]))  # the last key is 2**63 - 1
+def test_deal_repeats_matches_fisher_yates(chunk):
     population, first, blocks = chunk
-    draws = [t for block in blocks for t in block]
-    low = [i for block in blocks for i in range(len(block))]
-    base = [(first + k) * population for k, block in enumerate(blocks) for _ in block]
-    got = _replay(np.array(draws, np.int64), np.array(low, np.int64), np.array(base, np.int64))
-    assert got.tolist() == [x for block in blocks for x in _fisher_yates(block)]
+    want = [x for block in blocks for x in fisher_yates(block)]
+    # every draw of the repeat blocks replayed, then only those that can move
+    for narrow_min in (2**63, 0):
+        with mock.patch.object(generator, "_NARROW_MIN", narrow_min):
+            assert _deal_chunk(population, first, blocks) == want
+
+
+@pytest.mark.parametrize("population", range(1, 7))
+def test_only_repeated_and_low_draws_move(population):
+    # every draw sequence of every length, each one block of a chunk
+    blocks = [list(draws) for d in range(population + 1)
+              for draws in product(*(range(i, population) for i in range(d)))]
+    with mock.patch.object(generator, "_NARROW_MIN", 0):
+        got = _deal_chunk(population, 0, blocks)
+    assert got == [x for block in blocks for x in fisher_yates(block)]
 
 
 def _population(b: int, j: int, directed: bool) -> int:
@@ -711,10 +739,11 @@ class TestChunkLayout:
         c = data.draw(st.one_of(st.floats(1.01, 1.3), st.floats(20.0, 1e6)), label="c")
         params = TreeParams(b, {2: 7, 3: 4}[b], c)
         j = data.draw(st.integers(1, params.H), label="j")
-        # every chunk with a repeat replays in arrays, then none does
-        for replay_min in (0, 2**63):
+        # every chunk with a repeat replays only the draws that can move,
+        # then none narrows them
+        for narrow_min in (0, 2**63):
             with mock.patch.object(generator, "_BLOCK_CHUNK", chunk), \
-                    mock.patch.object(generator, "_ARRAY_REPLAY_MIN", replay_min):
+                    mock.patch.object(generator, "_NARROW_MIN", narrow_min):
                 _check_class_against_reference(params, seed, directed, j)
 
     @pytest.mark.parametrize("directed", [False, True])

@@ -143,6 +143,20 @@ def block_pair(rank: int, b: int, j: int, directed: bool) -> tuple[int, int]:
     raise ValueError("rank beyond the block's pairs")
 
 
+def fisher_yates(draws: list[int]) -> list[int]:
+    """The values a partial Fisher-Yates shuffle of [0, population) deals
+    when step i swaps position i with position draws[i] >= i, one block at
+    a time: the oracle of the sampler's `generator._deal_repeats`.  A
+    position is read after being written only when a draw repeats, so
+    without a repeated draw the values dealt are the draws themselves."""
+    moved: dict[int, int] = {}
+    out = []
+    for i, t in enumerate(draws):
+        out.append(moved.get(t, t))
+        moved[t] = moved.get(i, i)
+    return out
+
+
 def exact_binom_tail(n: int, prob, s: float) -> float:
     """Pr(Bin(n, p) >= s), summed exactly in rational arithmetic.
 
