@@ -37,7 +37,7 @@ from .tree import TreeParams
 
 _BLOCK_CHUNK = 8192  # blocks per task and per stream; part of the layout
 _INT64_MAX = 2**63 - 1
-_LINES_PER_SLICE = 2**14  # edge-list lines formatted per step
+_LINES_PER_SLICE = 2**14  # edge-list lines keyed (CSR arcs read) or formatted per step
 # draws in a chunk's repeat blocks from which _deal_repeats keeps only
 # the draws that can move: on a 2-vCPU VM that took 6.5 us plus 0.009 us
 # per draw, and the loop 0.17 us per draw it replays, so it pays from 70
@@ -62,30 +62,60 @@ class Csr(NamedTuple):
     indices: np.ndarray
 
     @classmethod
-    def from_arcs(cls, src: np.ndarray, dst: np.ndarray, n: int) -> "Csr":
-        """The CSR of the arcs src[i] -> dst[i], all leaves below n; a
-        repeated arc is a ValueError."""
-        if n * n <= 2**63:  # every key src * n + dst fits in int64
-            keys = src * n
-            keys += dst
-            keys.sort()
-            if n & (n - 1) == 0:  # n = 2**k: split by shift and mask
-                src = keys >> (n.bit_length() - 1)
-                keys &= n - 1
-                dst = keys
-            else:
-                src, dst = np.divmod(keys, n)
-        else:
+    def from_arcs(cls, src: np.ndarray, dst: np.ndarray, n: int, *,
+                  symmetric: bool = False) -> "Csr":
+        """The CSR of the arcs src[i] -> dst[i], and of dst[i] -> src[i]
+        too when `symmetric`, all leaves below n; a repeated arc is a
+        ValueError.
+
+        While n * n <= 2**63, each arc is one int64 key src * n + dst.  The
+        keys fill one array, the reverse arcs its second half, and it is
+        sorted in place; the rows are read off a narrow copy of the keys'
+        quotients by n, and the remainders, taken in place, are `indices`.
+        Beyond, a lexsort orders the arcs."""
+        if n * n > 2**63:
+            if symmetric:
+                src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
             order = np.lexsort((dst, src))
             src, dst = src[order], dst[order]
-        same_row = src[1:] == src[:-1]
-        repeat = same_row & (dst[1:] == dst[:-1])
+            repeat = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+            if np.count_nonzero(repeat):
+                i = repeat.argmax()
+                raise ValueError(f"duplicate edge {src[i]}-{dst[i]}")
+            return cls._split_rows(src, dst)
+        m = len(src)
+        keys = np.empty(2 * m if symmetric else m, np.int64)
+        np.multiply(src, n, out=keys[:m])
+        keys[:m] += dst
+        if symmetric:
+            np.multiply(dst, n, out=keys[m:])
+            keys[m:] += src
+        keys.sort()
+        repeat = keys[1:] == keys[:-1]
         if np.count_nonzero(repeat):
-            i = repeat.argmax()
-            raise ValueError(f"duplicate edge {src[i]}-{dst[i]}")
-        starts = np.concatenate(([len(src) > 0], ~same_row)).nonzero()[0]
-        indptr = np.concatenate((starts, [len(src)]))
-        return cls(_frozen(src[starts]), _frozen(indptr), _frozen(dst))
+            a, b = divmod(int(keys[repeat.argmax()]), n)
+            raise ValueError(f"duplicate edge {a}-{b}")
+        del repeat
+        src = np.empty(len(keys), np.int32 if n <= 2**31 else np.int64)
+        if n & (n - 1) == 0:  # n = 2**k: split by shift and mask
+            np.right_shift(keys, n.bit_length() - 1, out=src, casting="unsafe")
+            keys &= n - 1
+        else:
+            np.floor_divide(keys, n, out=src, casting="unsafe")
+            keys %= n
+        return cls._split_rows(src, keys)
+
+    @classmethod
+    def _split_rows(cls, src: np.ndarray, dst: np.ndarray) -> "Csr":
+        """The CSR of the sorted arcs src[i] -> dst[i], whose `indices`
+        is dst itself."""
+        new_row = np.empty(len(src), bool)
+        new_row[:1] = True
+        np.not_equal(src[1:], src[:-1], out=new_row[1:])
+        starts = new_row.nonzero()[0]
+        del new_row
+        rows = src.take(starts).astype(np.int64, copy=False)
+        return cls(_frozen(rows), _frozen(np.append(starts, len(src))), _frozen(dst))
 
     def gather(self, vs: Sequence[int]) -> list[int]:
         """The neighbors of each vertex of the ascending vs, row after row,
@@ -203,10 +233,7 @@ class Graph:
             params.check_leaf(a)
             params.check_leaf(b)
             raise ValueError(f"self-loop at vertex {a}")
-        if directed:
-            csr = Csr.from_arcs(u, v, params.n)
-        else:
-            csr = Csr.from_arcs(np.concatenate((u, v)), np.concatenate((v, u)), params.n)
+        csr = Csr.from_arcs(u, v, params.n, symmetric=not directed)
         return cls(params, directed, seed, csr, len(arr))
 
 
@@ -392,64 +419,115 @@ _PAD_MASKS = _pad_masks()
 _SEPARATOR_WORDS = np.frombuffer(b" \0\0\0\n\0\0\0", np.uint32)  # after u, after v
 
 
-def _sorted_lines(g: Graph) -> tuple[int, np.ndarray, np.ndarray]:
-    """D, the most digits of any vertex; the (E, 2) uint64 lines (u, v)
-    in the order that sorts the text lines f"{u} {v}" as strings; and the
-    (E, 2) uint8 digit counts of their vertices.
+def _digit_counts(x: np.ndarray, D: int) -> np.ndarray:
+    """The uint8 digit count of each x below 10**D."""
+    d = np.ones(x.shape, np.uint8)
+    for k in range(1, D):
+        d += x >= 10**k  # a Python int keeps x's own dtype
+    return d
+
+
+_P_BITS = 31  # p = x * 10**(D - d) << 4 | d < 10**8 * 16 < 2**31
+
+
+def _sorted_lines(g: Graph, D: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The lines (u, v) of g's edge list, D digits at most per vertex, in
+    the order that sorts the text lines f"{u} {v}" as strings: slices of
+    (m, 2) vertices, each x of d digits left-aligned as x * 10**(D - d),
+    and their (m, 2) uint8 digit counts d.
 
     A space sorts below every digit, so the lines compare as the pairs
     (str(u), str(v)) do; and a d-digit string x compares as the pair
-    (x * 10**(D - d), d) does.  Up to 8 digits, the four numbers of a
-    line fit one uint64 key; beyond, a lexsort orders them."""
-    lines = np.stack(g.edge_arrays(), axis=1).view(np.uint64)
-    D = len(str(lines.max(initial=0)))
-    digits = _POW10[1:D].searchsorted(lines.ravel(), side="right").astype(np.uint8) + 1
-    digits = digits.reshape(lines.shape)
-    p = lines * _POW10[D - digits]
-    if D <= 8:  # p * (D + 1) + d < 10**D * (D + 1), whose square is below 2**64
-        p *= D + 1
-        p += digits
-        key = p[:, 0] * (10**D * (D + 1))
-        key += p[:, 1]
-        order = key.argsort(kind="stable")  # the edges' own order is mostly sorted
-    else:
+    (x * 10**(D - d), d) does.  Up to 8 digits, that pair packs into
+    p = x * 10**(D - d) << 4 | d below 2**31, and a line into one uint64
+    key p_u << 31 | p_v.  The keys are filled from the CSR a slice of
+    rows at a time, sorted in place and decoded a slice at a time, so the
+    graph's one E-long scratch array is the key.  Beyond 8 digits, a
+    lexsort orders the four numbers of the lines."""
+    step = _LINES_PER_SLICE
+    if D > 8:
+        lines = np.stack(g.edge_arrays(), axis=1).view(np.uint64)
+        digits = _digit_counts(lines, D)
+        p = lines * _POW10.take(D - digits)
+        del lines
         order = np.lexsort((digits[:, 1], p[:, 1], digits[:, 0], p[:, 0]))
-    return D, lines.take(order, axis=0), digits.take(order, axis=0)
+        p, digits = p.take(order, axis=0), digits.take(order, axis=0)
+        for lo in range(0, len(p), step):
+            yield p[lo : lo + step], digits[lo : lo + step]
+        return
+    rows, indptr, indices = g.csr
+    pow10 = _POW10[: D + 1].astype(np.uint32)
+    key = np.empty(g.edge_count, np.uint64)
+    at = r0 = 0
+    for r1 in [*indptr.searchsorted(range(step, len(indices), step)).tolist(), len(rows)]:
+        u = rows[r0:r1].repeat(np.diff(indptr[r0 : r1 + 1]))
+        v = indices[indptr[r0] : indptr[r1]]
+        if not g.directed:  # each edge is kept from its lower end's row
+            keep = u < v
+            u, v = u.compress(keep), v.compress(keep)
+        p = np.empty((len(u), 2), np.uint32)
+        p[:, 0], p[:, 1] = u, v
+        d = _digit_counts(p, D)
+        p *= pow10.take(D - d)
+        p <<= 4
+        p |= d
+        out = key[at : at + len(p)]
+        np.left_shift(p[:, 0], _P_BITS, out=out, dtype=np.uint64)
+        out |= p[:, 1]
+        at, r0 = at + len(p), r1
+    key.sort(kind="stable")  # the CSR's order is mostly sorted
+    for lo in range(0, len(key), step):
+        k = key[lo : lo + step]
+        p = np.empty((len(k), 2), np.uint32)
+        np.right_shift(k, _P_BITS, out=p[:, 0], casting="unsafe")
+        np.bitwise_and(k, (1 << _P_BITS) - 1, out=p[:, 1], casting="unsafe")
+        d = (p & 15).astype(np.uint8)
+        p >>= 4
+        yield p, d
 
 
 def edge_list_text(g: Graph) -> str:
-    """The edge-list file of g.  Each line is built as uint32 words: each
-    vertex as ceil(D/4) right-aligned words of 4 ASCII digits, its leading
-    pad bytes masked to NUL, then a space or a newline word; one
-    bytes.translate drops the NULs."""
+    """The edge-list file of g: its parts (`_edge_list_parts`), joined."""
+    return b"".join(_edge_list_parts(g)).decode("ascii")
+
+
+def _edge_list_parts(g: Graph) -> Iterator[bytes]:
+    """The header line of g's edge-list file, then its lines, a slice at a
+    time in `_sorted_lines` order.  Each line is built as uint32 words:
+    each vertex, left-aligned to D digits, as ceil(D/4) words of 4 ASCII
+    digits with every byte outside its own digits masked to NUL, then a
+    space or a newline word; one bytes.translate drops the NULs.  The
+    scratch, the sorted keys with it, is freed before the parts are
+    joined."""
     p = g.params
-    header = (
+    yield (
         f"# cga b={p.b} H={p.H} c={format_real(p.c)} "
         f"seed={g.seed} directed={1 if g.directed else 0}\n"
-    )
-    D, lines, digits = _sorted_lines(g)
+    ).encode()
+    rows, _, indices = g.csr
+    D = len(str(max(rows[-1], indices.max()))) if len(rows) else 1
     W = -(-D // 4)  # words per vertex
-    parts = [header.encode()]
-    # formatted a slice at a time, to bound the scratch arrays
-    for lo in range(0, len(lines), _LINES_PER_SLICE):
-        x, d = lines[lo : lo + _LINES_PER_SLICE], digits[lo : lo + _LINES_PER_SLICE]
-        words = np.empty((len(x), 2, W + 1), np.uint32)
+    # [k, d]: the digits of word k of a d-digit number left-aligned to D
+    masks = _PAD_MASKS[:, D, None] & ~_PAD_MASKS[:, D::-1]
+    buffer = np.empty((min(g.edge_count, _LINES_PER_SLICE), 2, W + 1), np.uint32)
+    buffer[:, :, W] = _SEPARATOR_WORDS
+    for x, d in _sorted_lines(g, D):
+        words = buffer[: len(x)]
         for k in range(W):  # word k from the right
             q = x
-            if k < W - 1:
-                x, q = np.divmod(x, 10**4)
-            np.bitwise_and(_DIGIT_WORDS.take(q), _PAD_MASKS[k].take(d),
-                           out=words[:, :, W - 1 - k])
-        words[:, :, W] = _SEPARATOR_WORDS
-        parts.append(words.tobytes().translate(None, b"\0"))
-    body = b"".join(parts)
-    del parts
-    return body.decode("ascii")
+            if k < W - 1:  # a floor division and a product beat divmod
+                x = q // 10**4
+                q = q - x * 10**4
+            np.bitwise_and(_DIGIT_WORDS.take(q), masks[k].take(d), out=words[:, :, W - 1 - k])
+        yield words.tobytes().translate(None, b"\0")
 
 
 def write_edge_list(g: Graph, path) -> None:
+    """Write g's edge list to path.  The text is built before the file is
+    opened, so a failure while formatting leaves an existing file whole."""
+    data = edge_list_text(g).encode("ascii")
     with open(path, "wb") as fh:
-        fh.write(edge_list_text(g).encode("ascii"))
+        fh.write(data)
 
 
 def parse_edge_list(data: bytes) -> Graph:

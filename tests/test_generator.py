@@ -1,7 +1,6 @@
 import hashlib
 import math
 import re
-import tracemalloc
 from collections import Counter
 from itertools import combinations, permutations, product
 from unittest import mock
@@ -27,7 +26,7 @@ from cga.generator import (
 from cga.rng import SubstreamSampler, splitmix64, substream
 from cga.tree import TreeParams
 from util import (all_pair_probs, block_pair, fisher_yates, has_edge, in_neighbors, loadtxt_body,
-                  neighbors, reference_edge_list_text, sample_graph_naive)
+                  neighbors, reference_edge_list_text, sample_graph_naive, traced_peak)
 
 P22 = TreeParams(2, 2, 2.0)
 P23 = TreeParams(2, 3, 2.0)
@@ -230,6 +229,19 @@ class TestEdgeListFormat:
         write_edge_list(sample_graph(TreeParams(2, 5, 2.0), 11), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_a_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.el"
+        write_edge_list(sample_graph(TreeParams(2, 5, 2.0), 11), path)
+        before = path.read_bytes()
+
+        def fail(g):
+            raise MemoryError
+
+        monkeypatch.setattr(generator, "edge_list_text", fail)
+        with pytest.raises(MemoryError):
+            write_edge_list(sample_graph(P22, 1), path)
+        assert path.read_bytes() == before
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -378,12 +390,7 @@ class TestBodyParse:
         head, _, body = path.read_bytes().partition(b"\n")
         wide.write_bytes(head + b"\n" + body.replace(b" ", b"  "))
         for file in (path, wide):
-            tracemalloc.start()
-            try:
-                read_edge_list(file)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(read_edge_list, file)
             assert peak <= bound * file.stat().st_size, file.name
 
 
@@ -440,16 +447,35 @@ class TestArrayWriter:
         assert text == _expected_text(g)
         assert parse_edge_list(text.encode()) == g
 
-    def test_every_digit_count(self):
-        # each leaf of DIGIT_EDGES joined to the next one, both ways round
-        # when directed: every digit count from 1 to 19 meets itself and
-        # the next count, on the u side and on the v side
-        pairs = list(zip(DIGIT_EDGES, DIGIT_EDGES[1:]))
+    @pytest.mark.parametrize("D", [*range(1, 9), 19])
+    def test_every_digit_count(self, D):
+        # each leaf of DIGIT_EDGES below 10**D joined to the next one, both
+        # ways round when directed: every digit count up to D meets itself
+        # and the next count, on the u side and on the v side.  Up to
+        # D = 8 the lines take the one-key order, at 19 the lexsort
+        leaves = [x for x in DIGIT_EDGES if x < 10**D]
+        pairs = list(zip(leaves, leaves[1:]))
         for directed, edges in ((False, pairs), (True, pairs + [(v, u) for u, v in pairs])):
             g = Graph.from_edges(TreeParams(2, 63, 2.0), edges, directed=directed)
             text = edge_list_text(g)
             assert text == _expected_text(g)
             assert parse_edge_list(text.encode()) == g
+
+
+class TestGenerateMemory:
+    BOUND = 60  # tracemalloc peak of each phase, bytes per edge (arc)
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_peaks_per_edge(self, tmp_path, directed):
+        # sampling holds the sampler's pairs while it builds the CSR from
+        # one key per arc; writing holds the graph, which counts too, one
+        # key per line and the text
+        g, sample_peak = traced_peak(sample_graph, TreeParams(2, 16, 2.0), 16, directed=directed)
+        _, write_peak = traced_peak(write_edge_list, g, tmp_path / "g.el")
+        graph_bytes = sum(a.nbytes for a in g.csr)
+        assert g.edge_count > 2**17  # enough that per-call costs do not count
+        assert sample_peak <= self.BOUND * g.edge_count
+        assert write_peak + graph_bytes <= self.BOUND * g.edge_count
 
 
 class TestGraphConstruction:
@@ -553,19 +579,28 @@ def test_gather_skips_leaves_beyond_int64():
 
 class TestGraphFaults:
     @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("fault", ["above", "negative", "self-loop", "duplicate"])
     @pytest.mark.parametrize(
-        "pairs,message",
-        [
-            ([(0, 1), (0, 4)], "leaf index 4 out of range [0, 4)"),
-            ([(0, 1), (-1, 2)], "leaf index -1 out of range [0, 4)"),
-            ([(0, 1), (1, 1)], "self-loop at vertex 1"),
-            ([(0, 1), (2, 3), (0, 1)], "duplicate edge 0-1"),
-        ],
+        "params",
+        # one tree per way the arcs are ordered: n = 4 splits its sorted
+        # keys by shift and mask, n = 9 by division, and n = 2**40 has no
+        # int64 key, so a lexsort orders its arcs
+        [P22, TreeParams(3, 2, 2.0), TreeParams(2, 40, 2.0)],
+        ids=["shift-mask", "divmod", "lexsort"],
     )
-    def test_each_fault_has_its_message(self, pairs, message, directed):
+    def test_each_fault_has_its_message(self, params, fault, directed):
+        n = params.n
+        pairs, message = {
+            "above": ([(0, 1), (0, n)], f"leaf index {n} out of range [0, {n})"),
+            "negative": ([(0, 1), (-1, 2)], f"leaf index -1 out of range [0, {n})"),
+            "self-loop": ([(0, 1), (1, 1)], "self-loop at vertex 1"),
+            # the first repeat in sorted order; undirected, from the lower end
+            "duplicate": ([(0, 1), (n - 1, 2), (1, n - 1), (n - 1, 2)],
+                          f"duplicate edge {n - 1}-2" if directed else f"duplicate edge 2-{n - 1}"),
+        }[fault]
         for edges in (pairs, np.array(pairs)):
-            with pytest.raises(ValueError, match=re.escape(message)):
-                Graph.from_edges(P22, edges, directed=directed)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Graph.from_edges(params, edges, directed=directed)
 
     def test_leaf_beyond_int64(self):
         with pytest.raises(ValueError, match=f"leaf index {2**70} out of range"):

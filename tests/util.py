@@ -5,7 +5,8 @@ strings, ancestor walks, explicit pair enumeration, exact rational
 arithmetic) so the tests never trust the code path they are checking.
 It also holds the binomial tail and Janson bounds the model's proofs
 lean on: the library computes none of them, and the tests check each
-one against `exact_binom_tail` or a Monte Carlo sum.
+one against `exact_binom_tail` or a Monte Carlo sum.  `traced_peak` is
+the one idiom of the memory guards.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import io
 import math
 import re
+import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
@@ -300,3 +302,15 @@ def loadtxt_body(body: str):
     except (ValueError, OverflowError):
         return None
     return edges if edges.shape[1] == 2 else None
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the tracemalloc peak, in bytes, of what it
+    allocated; memory allocated before the call does not count."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
