@@ -199,49 +199,64 @@ def complete_set_scan(g: Graph, spec: ClusterSpec, h: int, h_star: int,
                       offsets: Sequence[int] | None = None) -> CompleteSetScan:
     """Internal edge counts and events D, E1, E2, E3 of the set i * b**h +
     offsets (ascending; by default the whole block) in every complete height-h
-    set, from one pass over the arcs.  Set by set it agrees with
-    `internal_edge_count` and `event_report`, the path that names witnesses."""
+    set, from one pass over the graph's shared int32 arcs.  Set by set it
+    agrees with `internal_edge_count` and `event_report`, the path that names
+    witnesses."""
     p = g.params
     if not 0 <= h <= p.H:
         raise ValueError(f"height must lie in [0, {p.H}], got {h}")
-    if p.n >= 2**31:  # keys u * blocks + block below reach n**2, beyond int64
+    if p.n >= 2**31:  # the arcs, and b**k <= n, must fit int32
         raise ValueError(f"the complete-set scan needs n < 2**31, got n = {p.n}")
     block = p.b**h
     blocks = p.n // block
-    offsets = np.arange(block) if offsets is None else np.asarray(offsets)
-    if not (len(offsets) and 0 <= offsets[0] and offsets[-1] < block
-            and (offsets[1:] > offsets[:-1]).all()):
-        raise ValueError(f"offsets must be ascending distinct leaves of [0, {block}): {offsets}")
-    pattern = VertexSet.from_leaves((int(offsets[0]), int(offsets[-1])), p)  # S(M) of set 0
-    if not pattern.height <= h_star <= p.H:
-        raise ValueError(f"h_star must lie in [{pattern.height}, {p.H}], got {h_star}")
-    member = np.tile(np.bincount(offsets, minlength=block) > 0, blocks)  # v in its block's set
-    dense_min, sparse_max = spec.cutoffs(len(offsets))
+    if offsets is None:
+        size, height, root = block, h, 0  # S(M) of set 0 is the set itself
+    else:
+        offsets = np.asarray(offsets)
+        if not (len(offsets) and 0 <= offsets[0] and offsets[-1] < block
+                and (offsets[1:] > offsets[:-1]).all()):
+            raise ValueError(f"offsets must be ascending distinct leaves of [0, {block}): {offsets}")
+        size = len(offsets)
+        pattern = VertexSet.from_leaves((int(offsets[0]), int(offsets[-1])), p)
+        height, root = pattern.height, pattern.root
+    if not height <= h_star <= p.H:
+        raise ValueError(f"h_star must lie in [{height}, {p.H}], got {h_star}")
+    complete = size == block  # every leaf of a block is a member: no member table
+    dense_min, sparse_max = spec.cutoffs(size)
 
-    src, dst = g.csr.arcs()  # arc u -> v counts toward e(u, set of v)
-    if len(offsets) < block:  # keep the arcs into a member (all are, when sets are complete)
+    src, dst = g.narrow_arcs  # arc u -> v counts toward e(u, set of v)
+    if not complete:  # keep the arcs into a member
+        member = np.tile(np.bincount(offsets, minlength=block) > 0, blocks)
         into = member.take(dst)
         src, dst = src.compress(into), dst.compress(into)
-    dst //= block
-    inside = (src // block == dst) & member.take(src)
-    internal = np.bincount(dst.compress(inside), minlength=blocks) // (1 if g.directed else 2)
+        del into
+    entered = dst // block
+    inside = src // block == entered
+    if not complete:
+        inside &= member.take(src)
+    internal = np.bincount(entered.compress(inside), minlength=blocks) // (1 if g.directed else 2)
     degree = np.bincount(src.compress(inside), minlength=p.n).reshape(blocks, block)
-    dense = degree[:, offsets].min(axis=1) >= dense_min  # a column-major copy, fast to reduce
+    del inside
+    # reduced column-major: over rows as short as b, numpy's row-major
+    # reduce is up to 10x slower (the member gather is column-major already)
+    dense = np.asfortranarray(degree if complete else degree[:, offsets]).min(axis=1) >= dense_min
 
-    # key u * blocks + set of v per arc, built in place; the CSR's arcs run by
-    # u and then by ascending v, and compress keeps their order, so the keys
-    # are sorted already.  A run longer than sparse_max, keys[i] == keys[i +
-    # sparse_max], breaks the cut-off
-    keys = src
-    keys *= blocks
-    keys += dst
+    # key u * blocks + set of v per arc, int64 only when int32 would
+    # overflow; the arcs run by u and then by ascending v, and compress
+    # keeps their order, so the keys are sorted already.  A run longer than
+    # sparse_max, keys[i] == keys[i + sparse_max], breaks the cut-off
+    keys = np.multiply(src, blocks, dtype=np.int32 if p.n * blocks < 2**31 else np.int64)
+    keys += entered
+    del entered
     tail = keys[sparse_max:]
     u, entered = np.divmod(tail.compress(tail == keys[: len(tail)]), blocks)
-    root = entered * block + pattern.root  # u is in S(M, k) when u // b**k == root // b**k
-    near_set = u // p.b**pattern.height == root // p.b**pattern.height
-    near = u // p.b**h_star == root // p.b**h_star
-    e1, e2, e3 = (  # the members of M, all in S(M), are no violators
-        np.bincount(entered.compress(region), minlength=blocks) == 0
-        for region in (near_set & ~member.take(u), near & ~near_set, ~near)
-    )
-    return CompleteSetScan(internal, dense, e1, e2, e3)
+    roots = entered * block + root  # u is in S(M, k) when u // b**k == root // b**k
+    near_set = u // p.b**height == roots // p.b**height
+    near = u // p.b**h_star == roots // p.b**h_star
+
+    def clear(region: np.ndarray) -> np.ndarray:  # no violator in the region, per set
+        return np.bincount(entered.compress(region), minlength=blocks) == 0
+
+    # the members of M, all in S(M), are no violators; a complete M is S(M)
+    e1 = np.ones(blocks, bool) if complete else clear(near_set & ~member.take(u))
+    return CompleteSetScan(internal, dense, e1, clear(near & ~near_set), clear(~near))

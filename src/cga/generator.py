@@ -162,7 +162,8 @@ class Graph:
 
     `csr` holds the sorted out-neighbor lists (all neighbors when
     undirected).  `in_csr` holds the in-neighbor lists of a directed
-    graph, built on first use, and is `csr` itself for an undirected one.
+    graph, built on first use, and is `csr` itself for an undirected one;
+    `narrow_arcs`, the complete-set scan's int32 arcs, is built on first use too.
     Two graphs are equal when their params, direction, seed and `csr` agree.
     """
 
@@ -182,6 +183,16 @@ class Graph:
             return self.csr
         src, dst = self.csr.arcs()
         return Csr.from_arcs(dst, src, self.n)
+
+    @cached_property
+    def narrow_arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """`csr.arcs()` as read-only int32 arrays, built once and shared by
+        every reader; the leaves must lie below 2**31."""
+        if self.n > 2**31:
+            raise ValueError(f"int32 arcs need n <= 2**31, got n = {self.n}")
+        rows, indptr, indices = self.csr
+        return (_frozen(rows.astype(np.int32).repeat(indptr[1:] - indptr[:-1])),
+                _frozen(indices.astype(np.int32)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

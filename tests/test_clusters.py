@@ -18,7 +18,8 @@ from cga.clusters import (
 )
 from cga.generator import Graph, sample_graph
 from cga.tree import TreeParams, VertexSet
-from util import has_edge, naive_edges_into, naive_is_cluster, naive_is_externally_sparse
+from util import (has_edge, naive_edges_into, naive_is_cluster, naive_is_externally_sparse,
+                  traced_peak)
 
 P22 = TreeParams(2, 2, 2.0)
 P23 = TreeParams(2, 3, 2.0)
@@ -333,6 +334,96 @@ class TestCompleteSetScan:
         for h in (-1, 41):
             with pytest.raises(ValueError, match="height must lie"):
                 complete_set_scan(g, HALF, h, 40)
+
+
+# hand-placed edges, a negative leaf counted back from n: a clique on the
+# last four leaves, outsiders with two edges into a set at pair heights 1
+# to 5 and at the top, and a few edges near leaf 0
+END_EDGES = [
+    (-1, -2), (-1, -3), (-1, -4), (-2, -3), (-2, -4), (-3, -4),
+    (-5, -1), (-5, -2), (-6, -3), (-6, -4), (-9, -1), (-9, -2), (-17, -3), (-17, -4),
+    (-33, -1), (-33, -3), (-7, -8), (-11, -12), (-10, -12),
+    (0, 1), (0, 2), (1, 2), (3, 0), (3, 1), (6, 0), (6, 1), (13, 2), (13, 3),
+    (0, -1), (1, -1), (2, -2), (-3, 5), (-4, 5),
+]
+
+
+def end_graph(params, directed):
+    n = params.n
+    edges = [(u % n, v % n) for u, v in END_EDGES]
+    if directed:  # some pairs both ways
+        edges += [(v, u) for u, v in edges[::3]]
+    return Graph.from_edges(params, edges, directed=directed)
+
+
+def fresh_copy(g):
+    return Graph.from_edges(g.params, np.column_stack(g.edge_arrays()), directed=g.directed)
+
+
+class TestScanKeysAndSharedArcs:
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("H", [15, 17])
+    def test_both_key_widths_agree_with_event_report(self, H, directed):
+        # keys u * blocks + set run past int32 at H=17, h <= 2, and stay
+        # below it at H=15; the violators near leaf n - 1 have the largest keys
+        g = end_graph(TreeParams(2, H, 2.0), directed)
+        n = g.params.n
+        assert {n * (n >> h) >= 2**31 for h in (1, 2)} == {H == 17}
+        ends = {x for e in g.edges() for x in e}
+        seen = set()
+        for h, offsets in [(1, None), (2, None), (2, (1, 3))]:
+            block = 2**h
+            offs = range(block) if offsets is None else offsets
+            touched = {x // block for x in ends}
+            idle = [i for i in range(n // block) if i not in touched]
+            sets = sorted(touched.union(idle[:3], idle[-1:]))
+            height = h if offsets is None else VertexSet.from_leaves(offsets, g.params).height
+            for h_star in (height, height + 1, H):
+                scan = complete_set_scan(g, HALF, h, h_star, offsets)
+                assert len(scan.dense) == n // block
+                for i in sets:
+                    M = [i * block + x for x in offs]
+                    rep = event_report(M, g, HALF, h_star)
+                    got = (scan.dense[i], scan.e1[i], scan.e2[i], scan.e3[i])
+                    assert got == (rep.dense, rep.e1, rep.e2, rep.e3), (h, offsets, h_star, M)
+                    assert scan.internal[i] == internal_edge_count(M, g)
+                    seen |= {(event, held) for event, held in zip(("D", "E1", "E2", "E3"), got)}
+        assert len(seen) == 8  # every event both held and failed
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_scans_share_read_only_arcs(self, directed):
+        base = sample_graph(TreeParams(2, 8, 1.6), 11, directed=directed)
+        H = base.params.H
+        for order in (range(H + 1), range(H, -1, -1)):
+            g = fresh_copy(base)
+            before = list(g.edges())
+            for h in order:
+                block = 2**h
+                for offsets, h_star in [(None, h), (None, H), (sorted({0, block - 1}), h),
+                                        ((block // 2,), H)]:
+                    got = complete_set_scan(g, HALF, h, h_star, offsets)
+                    want = complete_set_scan(fresh_copy(base), HALF, h, h_star, offsets)
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            src, dst = g.narrow_arcs
+            assert g.narrow_arcs[0] is src and g.narrow_arcs[1] is dst  # built once
+            assert src.dtype == dst.dtype == np.int32
+            assert not src.flags.writeable and not dst.flags.writeable
+            assert list(g.edges()) == before
+            wide = g.csr.arcs()  # still fresh, writable int64
+            assert all(a.dtype == np.int64 and a.flags.writeable for a in wide)
+            assert np.array_equal(wide[0], src) and np.array_equal(wide[1], dst)
+        with pytest.raises(ValueError, match="2\\*\\*31"):  # leaves past int32
+            Graph.from_edges(TreeParams(2, 40, 2.0), [(0, 2**35)]).narrow_arcs
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_sweep_scans_peak_per_arc(self, directed):
+        # the four scans of a sweep's graph, the int32 arcs they share
+        # included; int64 arcs and a member table peak near 27 B per arc
+        g = sample_graph(TreeParams(2, 12, 2.0), 3, directed=directed)
+        arcs = len(g.csr.indices)
+        _, peak = traced_peak(lambda: [complete_set_scan(g, HALF, h, 4) for h in (1, 2, 3, 4)])
+        assert arcs > 2**14  # enough that per-call costs do not count
+        assert peak <= 22 * arcs
 
 
 RATIOS = ["1/4", "1/3", "1/2", "2/3", "1"]
