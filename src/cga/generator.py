@@ -581,41 +581,56 @@ def parse_edge_list(data: bytes) -> Graph:
 
 
 _HEADER_FIELDS = frozenset({"b", "H", "c", "seed", "directed"})
-_BODY_BYTES = b"0123456789+- \t\n"
+_LINE_BYTES = b"0123456789+- \t"  # with b"\n", the bytes a body may hold
 _NEWLINE, _SPACE, _PLUS, _MINUS = b"\n +-"
 _SHORT_TOKEN = 18  # bytes; a token this short always fits in int64
+_READ_SLICE = 2**16  # body bytes tokenised per step, up to the next newline
+_PAD = b" " * 8  # ahead of a slice, so that a word ends at each of its bytes
+# [d]: the low nibbles of the last d bytes of a word, for d <= 8 digits
+_DIGIT_MASKS = np.frombuffer(b"".join(b"\0" * (8 - d) + b"\x0f" * d for d in range(9)), "<u8")
 
 
 def _body_edges(body: bytes) -> np.ndarray | None:
     """The (E, 2) int64 array of an edge-list body whose lines each hold
-    two integer tokens, or None for any other body.  numpy's text reader
-    gives the values, but it reads a lone sign as 0 and saturates beyond
-    int64, so it only sees a body whose every token `_token_count` checked;
-    the per-token arrays of that check are freed before the values are
-    allocated."""
-    if body.translate(None, _BODY_BYTES):
+    two integer tokens that fit in int64, or None for any other body.  The
+    body is read in slices cut after a newline, so that no line spans two
+    of them and each slice's scratch stays small (`_slice_values`); the
+    values go into one array sized from the newline count."""
+    rest = body.translate(None, _LINE_BYTES)  # the newlines and any bad byte
+    if rest.strip(b"\n"):
         return None
-    tokens = _token_count(body)
-    if tokens is None:
-        return None
-    if not tokens:  # the text reader makes one value of a blank body
-        return np.empty((0, 2), np.int64)
-    values = np.fromstring(body, np.int64, sep=" ")
-    return values.reshape(-1, 2) if len(values) == tokens else None
+    values = np.empty(2 * (len(rest) + (not body.endswith(b"\n"))), np.int64)
+    del rest
+    view = memoryview(body)
+    at = lo = 0
+    while lo < len(body):
+        hi = body.find(b"\n", lo + _READ_SLICE - 1) + 1 or len(body)
+        count = _slice_values(b"".join((_PAD, view[lo:hi], b"\n")), values[at:])
+        if count is None:
+            return None
+        at, lo = at + count, hi
+    return values[:at].reshape(-1, 2)
 
 
-def _token_count(body: bytes) -> int | None:
-    """The number of tokens of a body of digits, signs and blanks, or None
-    unless every line holds two integer tokens that fit in int64.  Tokens
-    are the runs of bytes above b" ", found with one bool per byte."""
-    a = np.frombuffer(body, np.uint8)
-    inside = np.zeros(len(a) + 2, bool)  # inside[k + 1]: body[k] is in a token
-    np.greater(a, _SPACE, out=inside[1:-1])
+def _slice_values(chunk: bytes, out: np.ndarray) -> int | None:
+    """Write the values of the tokens of a body slice, held in chunk after
+    the 8 bytes of _PAD and before one newline, to the start of out; their
+    count, or None unless every line holds two integer tokens that fit in
+    int64.  Tokens are the runs of bytes above b" ", found with one bool
+    per byte.
+
+    Each token's value comes from the little-endian word of the 8 bytes
+    that end it, read through a view with one-byte strides: the bytes
+    below its digits are masked away, the digits' low nibbles are joined
+    pairwise by three multiply-shift steps (an 8-digit SWAR decode), and
+    a token of more digits adds the words that end 8 and 16 bytes
+    earlier.  A token of more than _SHORT_TOKEN bytes is read by int()."""
+    a = np.frombuffer(chunk, np.uint8)[len(_PAD) :]
+    inside = np.zeros(len(a) + 1, bool)  # inside[k + 1]: a[k] is in a token
+    np.greater(a, _SPACE, out=inside[1:])
     filled = np.count_nonzero(inside)  # the bytes within tokens
-    edge = inside[1:] != inside[:-1]
+    bounds = np.flatnonzero(inside[1:] != inside[:-1])
     del inside
-    bounds = edge.nonzero()[0]
-    del edge
     starts, ends = bounds[0::2], bounds[1::2]
     if len(starts) % 2:
         return None
@@ -629,17 +644,48 @@ def _token_count(body: bytes) -> int | None:
         newline = np.logical_or.reduceat(a == _NEWLINE, starts)[:-1]
     if newline[0::2].any() or not newline[1::2].all():
         return None
-    lengths = ends - starts  # not before: it would be alive while reduceat copies starts
-    if b"+" in body or b"-" in body:  # a sign only leads a token, before a digit
+    digits = lengths = ends - starts
+    minus = None
+    if b"+" in chunk or b"-" in chunk:  # a sign only leads a token, before a digit
         sign = a == _PLUS
         sign |= a == _MINUS
         leads = sign[starts]
         if np.count_nonzero(leads) < np.count_nonzero(sign) or (lengths[leads] < 2).any():
             return None
-    for k in np.flatnonzero(lengths > _SHORT_TOKEN).tolist():
-        if not -_INT64_MAX - 1 <= int(body[starts[k] : ends[k]]) <= _INT64_MAX:
-            return None
+        digits = lengths - leads
+        minus = a[starts] == _MINUS
+    long = np.flatnonzero(lengths > _SHORT_TOKEN).tolist()
+    exact = [int(chunk[len(_PAD) + starts[k] : len(_PAD) + ends[k]]) for k in long]
+    if not all(-_INT64_MAX - 1 <= x <= _INT64_MAX for x in exact):
+        return None
+    words = np.ndarray((len(chunk) - 7,), "<u8", chunk, strides=(1,))
+    value = out[: len(starts)]
+    _eight_digits(words[ends], digits, value.view(np.uint64))
+    wide = np.flatnonzero(digits > 8)
+    for k in (1, 2):  # the words of digits 8k + 1 to 8k + 8 from the right
+        if len(wide):
+            high = _eight_digits(words[ends[wide] - 8 * k], digits[wide] - 8 * k)
+            high *= 10 ** (8 * k)
+            value[wide] += high.view(np.int64)
+            wide = wide[digits[wide] > 8 * k + 8]
+    if minus is not None:
+        np.negative(value, out=value, where=minus)
+    value[long] = exact
     return len(starts)
+
+
+def _eight_digits(words: np.ndarray, digits: np.ndarray, out=None) -> np.ndarray:
+    """The values of the last min(d, 8) digit bytes of each uint64 word,
+    for d in digits; words is overwritten."""
+    words &= _DIGIT_MASKS.take(digits, mode="clip")
+    words *= 10 << 8 | 1  # 10 * byte + next byte, in every even byte
+    words >>= 8
+    words &= 0x00FF00FF00FF00FF
+    words *= 100 << 16 | 1  # 100 * pair + next pair, in every even 16 bits
+    words >>= 16
+    words &= 0x0000FFFF0000FFFF
+    words *= 10**4 << 32 | 1  # 10**4 * quad + next quad, in the high half
+    return np.right_shift(words, 32, out=out)
 
 
 _LINE = re.compile(r"[ \t]*([+-]?[0-9]+)[ \t]+([+-]?[0-9]+)[ \t]*")

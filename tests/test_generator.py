@@ -355,6 +355,16 @@ def _bodies(draw) -> str:
     return body[:at] + odd + body[at:]
 
 
+def _assert_matches_loadtxt(body: str) -> None:
+    want = loadtxt_body(body)
+    got = generator._body_edges(body.encode("latin-1"))
+    if want is None:
+        assert got is None, body
+    else:
+        assert got is not None and got.dtype == np.int64
+        assert got.shape == want.shape and got.tolist() == want.tolist(), body
+
+
 class TestBodyParse:
     """The byte tokeniser against numpy's text reader, the body parse of
     earlier releases (`util.loadtxt_body`)."""
@@ -379,12 +389,38 @@ class TestBodyParse:
             assert got is not None and got.dtype == np.int64
             assert got.shape == want.shape and got.tolist() == want.tolist()
 
+    @settings(max_examples=120, deadline=None)
+    @given(body=_bodies())
+    def test_matches_loadtxt_across_slices(self, body):
+        # slices of a few bytes, so that nearly every line is cut from the next
+        with mock.patch.object(generator, "_READ_SLICE", 3):
+            _assert_matches_loadtxt(body)
+
+    def test_digit_count_boundaries(self):
+        # the word decode at every digit count, with signs, and with leading
+        # zeros that fill or spill over a token's first to third words
+        values = [str(x) for x in DIGIT_EDGES] + [str(-(2**63))]
+        values += [f"{sign}{x}" for sign in "+-" for x in (1, 10**7 + 3, 10**8 + 7, 10**17 + 1)]
+        values += [str(x).rjust(n, "0") for n in (8, 9, 16, 17, 24, 31) for x in (1, 10**7 + 3)]
+        values += ["-" + str(10**15 + 9).rjust(n - 1, "0") for n in (17, 24, 31)]
+        lines = [f"{u} {v}\n" for u, v in zip(values, values[1:])]
+        bodies = ["".join(lines), "".join(reversed(lines)), "".join(lines).replace(" ", "\t "),
+                  "".join(lines).replace(" ", "  ").replace("\n", " \n\n")]
+        # bodies of fewer than 8 bytes, and first tokens that end in them
+        bodies += ["1 2", "-1 +2\n", "3 45\n6 7\n", "123456789 1\n", "12345678901234567 8\n"]
+        bodies += [f"1 {2**63}\n", f"{-(2**63) - 1} 1\n", "1 2\n" * 9 + f"{2**63} 1\n"]
+        for slice_bytes in (generator._READ_SLICE, 3):
+            with mock.patch.object(generator, "_READ_SLICE", slice_bytes):
+                for body in bodies:
+                    _assert_matches_loadtxt(body)
+
     def test_read_peak_memory_per_file_byte(self, tmp_path):
-        # scratch arrays over the file are one byte per byte and int64 ones
-        # one entry per token, about 6.9 bytes per file byte in all; one
-        # int64 per file byte would add 8 more.  Two spaces between the
-        # vertices take the tokeniser's other newline rule.
-        bound = 8  # tracemalloc peak of read_edge_list, bytes per file byte
+        # the file, its body and the int64 values take about 3.5 bytes per
+        # file byte, and the scratch of one body slice or the graph build
+        # about 1.5 more.  Scratch of two bytes per body byte, or a second
+        # int64 per token, would pass 6.  Two spaces between the vertices
+        # take the tokeniser's other newline rule.
+        bound = 6  # tracemalloc peak of read_edge_list, bytes per file byte
         path, wide = tmp_path / "g.el", tmp_path / "wide.el"
         write_edge_list(sample_graph(TreeParams(2, 14, 2.0), 14, directed=True), path)
         head, _, body = path.read_bytes().partition(b"\n")
